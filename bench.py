@@ -9,7 +9,11 @@ representative query set over the driver testdata at $GRAFT_SF_DIR
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "sequences_per_s": ..., "tokens_per_s": ...}
+   "sequences_per_s": ..., "tokens_per_s": ...,
+   "host": {"affinity_cpus", "ray_cpus", "loadavg_1m", ...}}
+
+N (Ray CPUs) is $RAY_GRAFT_CPUS, by default the cores in this process's
+affinity mask.
 
 --scaling: runs the headline in FRESH processes at N and 4N CPUs
 (default 2 vs 8, override VES_SCALE_LO/HI) on the same larger input,
@@ -88,6 +92,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     from ves_ray.fixtures import make_sources_table
     from ves_ray.pipelines.flagship import FlagshipPipeline
     from ves_ray.pipelines.queries import QUERIES
+    from ves_ray.state.metrics import host_snapshot
 
     in_dir = bench_input_dir()
     warm_page_cache(in_dir)
@@ -122,6 +127,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     rows, tokens = res["rows"], res["tokens"]
     shutil.rmtree(out_dir, ignore_errors=True)
 
+    host = host_snapshot()
     q_times = {}
     if os.environ.get("VES_BENCH_SKIP_QUERIES"):
         ray.shutdown()
@@ -132,6 +138,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
             "tokens": tokens,
             "sequences_per_s": round(rows / headline, 1),
             "tokens_per_s": round(tokens / headline, 1),
+            "host": host,
         }
     for name in QUERY_NAMES:
         fn = QUERIES[name]
@@ -159,6 +166,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         "tokens": tokens,
         "sequences_per_s": round(rows / headline, 1),
         "tokens_per_s": round(tokens / headline, 1),
+        "host": host,
     }
 
 
@@ -273,7 +281,11 @@ def main() -> None:
             "sf": sf_dir,
         }))
         return
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    # default: the cores this process may run on (nproc can follow
+    # OMP_NUM_THREADS; os.cpu_count() counts cores outside the affinity
+    # mask)
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS",
+                                  str(len(os.sched_getaffinity(0)))))
     if os.environ.get("VES_BENCH_CHILD"):
         # actual measurement (in-process Ray session)
         print(json.dumps(run_bench(sf_dir, num_cpus)))

@@ -326,21 +326,82 @@ def test_shard_parallelism_overlap_and_exactness(tmp_path):
 
 
 def test_stage_metrics_emitted(tmp_path):
-    """T12: per-stage rows/s + batch-wall percentiles land in the run
-    result and metrics.json."""
+    """T12: Ray Data's per-operator stats of the executed write and
+    read-back, and each shard's read sizing, land in the run result and
+    metrics.json; stage_metrics=False switches the operator stats off."""
     import json
+
+    from ves_ray.sources.sequences import read_blocks
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
-    write_sequences(in_dir, seed=53, n_rows=200, n_files=2)
+    paths = write_sequences(in_dir, seed=53, n_rows=200, n_files=2)
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
-    assert "parse_enrich_salt" in res["stages"]
-    st = res["stages"]["parse_enrich_salt"]
-    assert st["rows"] == 200 and st["rows_per_s"] > 0
-    assert st["batch_wall_p99_ms"] >= st["batch_wall_p50_ms"] > 0
-    assert "stats_partial" in res["stages"]
-    assert res["host"]["cpus"] >= 1
+    keys = {"wall_s", "cpu_s", "udf_s", "tasks", "blocks", "rows", "bytes"}
+    write, stats = res["stages"]["write"], res["stages"]["stats"]
+    assert all(set(rec) == keys for rec in [*write.values(), *stats.values()])
+    assert any("ReadParquet" in name for name in write)
+    (name, w), = [(n, r) for n, r in write.items() if "Write" in n]
+    assert "MapBatches(transform)" in name
+    assert w["tasks"] >= 1 and w["udf_s"] > 0 and w["wall_s"] > 0
+    (name, p), = [(n, r) for n, r in stats.items() if "_shard_partial" in n]
+    assert p["rows"] > 0 and p["blocks"] >= 1
+    shard, = res["shards"]
+    nbytes = sum(os.path.getsize(f) for f in paths)
+    assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
+    assert shard["stats_read"]["bytes"] > 0
+    assert shard["stats_read"]["blocks"] == 4      # the session's CPUs
+    assert res["host"]["affinity_cpus"] >= 1 and res["host"]["ray_cpus"] == 4
     with open(os.path.join(out_dir, "metrics.json")) as f:
         m = json.load(f)
-    assert "stages" in m and "host" in m
+    assert m["stages"] == json.loads(json.dumps(res["stages"]))
+    assert m["shards"][0]["read"] == shard["read"] and "host" in m
+
+    res = FlagshipPipeline(in_dir, make_sources_table(), str(tmp_path / "o2"),
+                           stage_metrics=False).run()
+    assert "stages" not in res and "stages" not in res["shards"][0]
+    assert res["rows"] == 200
+
+
+def test_generator_input_processes_every_row(tmp_path):
+    """A generator input_path is consumed once, by both the
+    filesystem probe and the listing: the run sees every fragment."""
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    paths = write_sequences(in_dir, seed=57, n_rows=300, n_files=3)
+    res = FlagshipPipeline((p for p in paths), make_sources_table(),
+                           out_dir).run()
+    assert res["pending_fragments"] == 3 and res["rows"] == 300
+
+
+def test_shard_executes_no_limit_plan(tmp_path, monkeypatch):
+    """One shard executes exactly two plans, the write and the stats
+    read-back, and neither is a Limit schema probe."""
+    from ray.data._internal.logical.operators.one_to_one_operator import Limit
+    from ray.data._internal.plan import ExecutionPlan
+
+    executed = []
+    for attr in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, attr)
+
+        def recording(plan, *a, _orig=orig, **kw):
+            executed.append(plan._logical_plan.dag)
+            return _orig(plan, *a, **kw)
+
+        monkeypatch.setattr(ExecutionPlan, attr, recording)
+
+    def ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from ops(dep)
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    write_sequences(in_dir, seed=59, n_rows=200, n_files=2)
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    assert res["rows"] == 200
+    # the write executes its plan, then reads its own (already computed)
+    # output through an InputData plan; only Read-rooted plans do work
+    work = [d for d in executed
+            if any(type(o).__name__ == "Read" for o in ops(d))]
+    assert len(work) == 2
+    assert not any(isinstance(o, Limit) for d in executed for o in ops(d))
 
 
 def test_split_fragment_unit_resume(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pyarrow as pa
+from hypothesis import given, settings, strategies as st
 
 from ves_ray.hashing import (U64, checksum_partition, hash_strings,
                              reduce_by_row, row_checksums, splitmix64)
@@ -45,6 +46,42 @@ def test_row_checksums_slice_consistency():
     part = row_checksums(doc[1:], sl.values.to_numpy(),
                          sl.offsets.to_numpy())
     assert (full[1:] == part).all()
+
+
+def _row_checksums_reference(doc, values, offsets):
+    """The position-weighted formula as first written: Σ (v_j + 1)(j + 1)
+    per row via an explicit in-row position array, + len · MIX1."""
+    from ves_ray.hashing import _MIX1, hash2
+    off = offsets.astype(np.int64)
+    values = values[off[0]:off[-1]]
+    off = off - off[0]
+    starts, lengths = off[:-1], off[1:] - off[:-1]
+    if not len(values):
+        return hash2(doc, np.zeros(len(doc), dtype=U64))
+    j = np.arange(len(values), dtype=np.int64) - np.repeat(starts, lengths)
+    with np.errstate(over="ignore"):
+        weighted = (values.astype(U64) + U64(1)) * (j.astype(U64) + U64(1))
+        tok_sum = reduce_by_row(weighted, off) + lengths.astype(U64) * _MIX1
+    return hash2(doc, tok_sum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 2**31 - 1), max_size=12),
+                     min_size=1, max_size=20),
+       cut=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_checksums_equal_reference(rows, cut, seed):
+    """The reduceat kernel is bit-identical to the reference formula on
+    ragged rows, empty rows and sliced list arrays."""
+    arr = pa.array(rows, type=pa.list_(pa.int32()))
+    doc = np.random.default_rng(seed).integers(
+        0, 2**63, len(rows)).astype(U64)
+    a, b = sorted(min(c, len(rows)) for c in cut)
+    for sl, d in ((arr, doc), (arr.slice(a, b - a), doc[a:b])):
+        vals, offs = sl.values.to_numpy(), sl.offsets.to_numpy()
+        np.testing.assert_array_equal(
+            row_checksums(d, vals, offs),
+            _row_checksums_reference(d, vals, offs))
 
 
 def test_partition_checksum_order_insensitive():

@@ -154,24 +154,30 @@ def row_checksums(doc_id_hashes: np.ndarray, token_values: np.ndarray,
     off = token_offsets.astype(np.int64)
     values = token_values[off[0]:off[-1]]
     off = off - off[0]
-    starts, ends = off[:-1], off[1:]
-    lengths = ends - starts
+    starts = off[:-1]
+    lengths = off[1:] - starts
+    tok_sum = np.zeros(n, dtype=U64)
     if len(values):
-        # position-weighted wrapping sum: Σ (v_j + 1) · (j + 1). Two
-        # vectorized passes instead of a full per-token hash chain —
-        # uint64 multiply over tens of millions of tokens per batch is
-        # the lineage stage's hot loop. Catches any value change,
+        # position-weighted wrapping sum Σ (v_j + 1) · (j + 1), where
+        # j = g − start is the in-row position of flat index g. Expanded
+        # as Σ (v+1)(g+1) − start · Σ (v+1), which is exact in wrapping
+        # uint64 arithmetic, so no per-token row index is built: two
+        # token-length temporaries and one reduceat each over the
+        # non-empty rows (empty rows hold no tokens, so each reduceat
+        # segment is exactly one row). Catches any value change,
         # position swap, or truncation; not collision-resistant against
         # adversarial edits (acceptable for lineage change-detection).
-        base = np.repeat(starts, lengths)
-        j = np.arange(len(values), dtype=np.int64) - base
         with np.errstate(over="ignore"):
-            weighted = (values.astype(U64) + U64(1)) * (j.astype(U64) + U64(1))
-        tok_sum = reduce_by_row(weighted, off)
-        with np.errstate(over="ignore"):
-            tok_sum += lengths.astype(U64) * _MIX1
-    else:
-        tok_sum = np.zeros(n, dtype=U64)
+            v1 = values.astype(U64)
+            v1 += U64(1)
+            w = np.arange(1, len(values) + 1, dtype=U64)
+            w *= v1
+            rows = np.flatnonzero(lengths)
+            at = starts[rows]
+            tok_sum[rows] = (np.add.reduceat(w, at)
+                             - at.astype(U64) * np.add.reduceat(v1, at))
+    with np.errstate(over="ignore"):
+        tok_sum += lengths.astype(U64) * _MIX1
     return hash2(doc_id_hashes, tok_sum)
 
 

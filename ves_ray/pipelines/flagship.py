@@ -1,17 +1,35 @@
 """Flagship pipeline: parse → enrich → route → aggregate (north_star).
 
-One streaming Dataset execution per shard of input fragments. Default
-physical plan (enrich_mode auto → task for small lookups):
+One streaming Dataset execution per shard of input fragments, plus one
+narrow read-back. Default physical plan (enrich_mode auto → task for
+small lookups):
 
-    read_parquet(pending, include_paths)        # S8/S9: fragment read
+    read_parquet(pending, include_paths,         # S8/S9: fragment read
+                 override_num_blocks=read_blocks(shard bytes))
       → map_batches(parse+checksum+enrich+salt) # T1/T4/T5 one fused stage
       → write_parquet(.tmp-shard, partition_cols=['route'])   # T7
     atomic rename .tmp-shard → shard=<id>        # durable data
     stats    = ONE narrow pass over the WRITTEN shard:          # T6+T8
-               block-local (fragment,route,source) partials →
-               driver combine → lineage + per-shard aggregates
+               read_parquet(shard, 5 columns, sized the same way)
+               → block-local (fragment,route,source) partials,
+               streamed to the driver by iter_batches (one execution,
+               no schema probe) → combine → lineage + per-shard aggregates
     markers  = per-fragment checkpoint records (written LAST)   # T9
     final aggregates = O(shards) merge of per-shard records
+
+Read sizing (sources.sequences.read_blocks): every sized read asks for
+``max(live cluster CPUs, ceil(input bytes / target_max_block_size))``
+blocks. Ray's default of at least 200 read blocks would cut a 56 MB
+shard into blocks of a few hundred rows, and each later stage pays its
+per-block overhead on every one of them. Input bytes come from the
+checkpoint manifest for the fragment read and from a listing of the
+written shard for the read-back; each shard's result records both
+(``read`` and ``stats_read``: bytes, blocks).
+
+Stage metrics (``stage_metrics=True``) are Ray Data's own per-operator
+stats of the executed write Dataset (read, transform, encode + write)
+and of the executed read-back, summed over shards into
+``result["stages"]`` and ``metrics.json``; no collector actor runs.
 
 With enrich_mode="actor" (auto for lookups ≥ 96 MB — measured
 crossover, see ENRICH_ACTOR_THRESHOLD_BYTES) the fused stage
@@ -47,12 +65,14 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 
 from ..schema import SOURCES_SCHEMA
-from ..sources.sequences import expand_paths
+from ..sources.sequences import (expand_paths, input_bytes, read_blocks,
+                                 read_parquet_sized)
 from ..stages.enrich import Enricher, _as_table
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
-from ..state.checkpoint import (CheckpointStore, atomic_publish_dir,
-                                build_manifest, clean_stale_tmp)
+from ..state.checkpoint import (UNIT_SEP, CheckpointStore,
+                                atomic_publish_dir, build_manifest,
+                                clean_stale_tmp)
 from ..state import fs as vfs
 from ..state.lineage import add_row_checksum_batch
 
@@ -168,10 +188,10 @@ def _stub_fsspec_http() -> None:
 
 
 def _read_routed(routed_root: str, columns: list[str] | None,
-                 filesystem: pafs.FileSystem | None = None):
-    import ray.data as rd
-    return rd.read_parquet(routed_root, columns=columns,
-                           filesystem=filesystem)
+                 filesystem: pafs.FileSystem | None = None,
+                 nbytes: int | None = None):
+    return read_parquet_sized(routed_root, columns=columns,
+                              filesystem=filesystem, nbytes=nbytes)
 
 
 class FlagshipPipeline:
@@ -239,8 +259,12 @@ class FlagshipPipeline:
         # surface as FileNotFoundError deep in build_manifest — catch
         # the mismatch loudly here instead.
         self.fs, out_inner = vfs.resolve_fs(out_dir, filesystem)
+        # materialize once: a generator input must feed both the probe
+        # below and the listing
+        if not isinstance(input_path, str):
+            input_path = list(input_path)
         for probe in ([input_path] if isinstance(input_path, str)
-                      else list(input_path)):
+                      else input_path):
             in_fs, _ = vfs.resolve_fs(probe, filesystem)
             if in_fs.type_name != self.fs.type_name:
                 raise ValueError(
@@ -289,7 +313,6 @@ class FlagshipPipeline:
         # row-group-range units, each checkpointed independently, so a
         # crash mid-fragment loses at most one unit of work
         self.split_fragment_rows = split_fragment_rows
-        self._metrics_handle = None
         self.store = CheckpointStore(out_inner, self.fs)
 
     # -- planning ------------------------------------------------------
@@ -310,19 +333,21 @@ class FlagshipPipeline:
         return [pending[i:i + size] for i in range(0, len(pending), size)]
 
     # -- transform DAG -------------------------------------------------
-    def _read_fragments(self, paths: list[str]):
+    def _read_fragments(self, paths: list[str], nbytes: int | None = None):
         """Source Dataset for a shard. Plain fragment paths go through
-        ``read_parquet`` (include_paths supplies the fragment id);
-        unit-qualified ids ("<file>#rg<a>-<b>", split_fragment_rows)
-        are read by a map stage that pulls exactly its row-group range
-        — one task per unit, the unit id as the fragment column."""
+        ``read_parquet`` sized by ``read_blocks`` over their ``nbytes``
+        (include_paths supplies the fragment id); unit-qualified ids
+        ("<file>#rg<a>-<b>", split_fragment_rows) are read by a map
+        stage that pulls exactly its row-group range — one task per
+        unit, the unit id as the fragment column."""
         import ray.data as rd
         from ..state.checkpoint import parse_unit
         parsed = [parse_unit(p) for p in paths]
         if all(a is None for _, a, _ in parsed):
-            return rd.read_parquet(paths, include_paths=True,
-                                   concurrency=self.read_concurrency,
-                                   filesystem=self.fs)
+            return read_parquet_sized(paths, nbytes=nbytes,
+                                      include_paths=True,
+                                      concurrency=self.read_concurrency,
+                                      filesystem=self.fs)
         items = [{"file": f, "rg_start": -1 if a is None else a,
                   "rg_end": -1 if b is None else b, "unit": p}
                  for p, (f, a, b) in zip(paths, parsed)]
@@ -360,27 +385,20 @@ class FlagshipPipeline:
                               batch_size=1, zero_copy_batch=True,
                               ray_remote_args_fn=lambda: {})
 
-    def build_routed_dataset(self, paths: list[str]):
+    def build_routed_dataset(self, paths: list[str],
+                             nbytes: int | None = None):
         import ray
-        ds = self._read_fragments(paths)
+        ds = self._read_fragments(paths, nbytes)
         lookup_ref = ray.put(self.lookup)
-
-        def instrument(stage, fn):
-            if self._metrics_handle is None:
-                return fn
-            from ..state.metrics import timed_stage
-            return timed_stage(stage, fn, self._metrics_handle)
-
         if self.enrich_mode == "task":
             # broadcast-small-side path: ONE fused task stage
             # (parse+checksum+enrich+salt); lookup decoded once per
             # warm, persistent task worker — no dedicated actors, no
             # extra plasma hops between sub-stages
             return ds.map_batches(
-                instrument("parse_enrich_salt",
-                           make_fused_transform(lookup_ref, self.hot_salt)),
+                make_fused_transform(lookup_ref, self.hot_salt),
                 batch_format="pyarrow", zero_copy_batch=True)
-        ds = ds.map_batches(instrument("parse", _parse_and_checksum),
+        ds = ds.map_batches(_parse_and_checksum,
                             batch_format="pyarrow", zero_copy_batch=True)
         ds = ds.map_batches(Enricher,
                             fn_constructor_kwargs=dict(lookup=lookup_ref),
@@ -388,7 +406,7 @@ class FlagshipPipeline:
                             batch_size=self.enrich_batch_size,
                             concurrency=self.enrich_concurrency,
                             num_cpus=self.enrich_num_cpus)
-        ds = ds.map_batches(instrument("salt", make_salter(self.hot_salt)),
+        ds = ds.map_batches(make_salter(self.hot_salt),
                             batch_format="pyarrow", zero_copy_batch=True)
         return ds
 
@@ -479,8 +497,11 @@ class FlagshipPipeline:
                         "checksum": rec.get("checksum")})
 
     def _process_shard(self, frags) -> dict:
+        from ..state.metrics import operator_stats
         t0 = time.perf_counter()
         phases = {}
+        stages = {}
+        sizing = {"read": None, "stats_read": None}
         paths = [f.path for f in frags]
         sid = _shard_id(frags)
         shard_dir = vfs.join(self.routed_root, f"shard={sid}")
@@ -489,11 +510,20 @@ class FlagshipPipeline:
 
         if not vfs.exists(self.fs, shard_dir):
             tmp = vfs.join(self.routed_root, f".tmp-{sid}")
-            ds = self.build_routed_dataset(paths)
+            nbytes = sum(f.size_bytes for f in frags)
+            # the unit path reads one block per row-group unit
+            units = any(UNIT_SEP in p for p in paths)
+            sizing["read"] = {"bytes": nbytes, "blocks": len(paths) if units
+                              else read_blocks(nbytes)}
+            ds = self.build_routed_dataset(paths, nbytes)
             ds.write_parquet(tmp, partition_cols=["route"],
                              min_rows_per_file=self.min_rows_per_file,
                              filesystem=self.fs,
                              **self.WRITE_OPTS)
+            if self.stage_metrics:
+                # write_parquet keeps the executed write Dataset: its
+                # stats cover read, transform and encode + write
+                stages["write"] = operator_stats(ds._write_ds)
             atomic_publish_dir(tmp, shard_dir, self.fs)
         phases["write_s"] = round(time.perf_counter() - t0, 3)
         # lineage AND per-shard aggregates from the WRITTEN shard, in
@@ -505,22 +535,23 @@ class FlagshipPipeline:
         lin_dir = vfs.join(self.lineage_root, f"shard={sid}")
         if not vfs.exists(self.fs, lin_dir):
             # ONE distributed pass over the narrow columns: block-local
-            # (fragment, route, source) partials, collected (tiny —
-            # O(blocks × routes) rows) and combined on the driver. No
-            # all-to-all shuffle, no second groupby execution per stat.
-            import ray
-            narrow = _read_routed(
+            # (fragment, route, source) partials, streamed to the driver
+            # (tiny — O(blocks × routes) rows) and combined there. No
+            # all-to-all shuffle, and the plan executes exactly once.
+            nbytes = input_bytes(shard_dir, self.fs)
+            sizing["stats_read"] = {"bytes": nbytes,
+                                    "blocks": read_blocks(nbytes)}
+            partials = _read_routed(
                 shard_dir, ["fragment", "route", "source", "n_tok", "row_ck"],
-                filesystem=self.fs)
-            partial_fn = _shard_partial
-            if self._metrics_handle is not None:
-                from ..state.metrics import timed_stage
-                partial_fn = timed_stage("stats_partial", _shard_partial,
-                                         self._metrics_handle)
-            refs = narrow.map_batches(
-                partial_fn, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
-            part = pa.concat_tables(t for t in ray.get(refs) if len(t))
+                filesystem=self.fs, nbytes=nbytes,
+            ).map_batches(_shard_partial, batch_format="pyarrow",
+                          zero_copy_batch=True)
+            part = pa.concat_tables(
+                t for t in partials.iter_batches(batch_size=None,
+                                                 batch_format="pyarrow")
+                if len(t))
+            if self.stage_metrics:
+                stages["stats"] = operator_stats(partials)
             stats = _combine_partials(part)
             tmp = vfs.join(self.lineage_root, f".tmp-{sid}")
             vfs.makedirs(self.fs, tmp)
@@ -556,12 +587,15 @@ class FlagshipPipeline:
         wall = t_end - t0
         rows = int(sum(r["rows"] for r in by_path.values()))
         tokens = int(sum(r["n_tok_sum"] for r in by_path.values()))
-        return {"shard": sid, "fragments": len(frags),
-                "start_s": t0, "end_s": t_end,
-                "rows": rows, "tokens": tokens, "wall_s": wall,
-                "rows_per_s": round(rows / wall, 1) if wall else None,
-                "tokens_per_s": round(tokens / wall, 1) if wall else None,
-                **phases}
+        out = {"shard": sid, "fragments": len(frags),
+               "start_s": t0, "end_s": t_end,
+               "rows": rows, "tokens": tokens, "wall_s": wall,
+               "rows_per_s": round(rows / wall, 1) if wall else None,
+               "tokens_per_s": round(tokens / wall, 1) if wall else None,
+               **phases, **sizing}
+        if self.stage_metrics:
+            out["stages"] = stages
+        return out
 
     # -- aggregates from the sink -------------------------------------
     def compute_aggregates(self) -> dict[str, pa.Table]:
@@ -628,9 +662,6 @@ class FlagshipPipeline:
         t0_wall = time.perf_counter()
         clean_stale_tmp(self.routed_root, self.fs)
         clean_stale_tmp(self.lineage_root, self.fs)
-        if self.stage_metrics and self._metrics_handle is None:
-            from ..state.metrics import make_collector
-            self._metrics_handle = make_collector()
         manifest = self._manifest()
         self._drop_removed(manifest)   # FileRemoved: must run even when
         pending = self.store.pending(manifest)  # nothing looks pending
@@ -698,17 +729,17 @@ class FlagshipPipeline:
             result["route_counts"] = aggs["route_counts"]
             result["source_hist"] = aggs["source_hist"]
         result["wall_s"] = time.perf_counter() - t0_wall
-        if self._metrics_handle is not None:
-            # T12 self-metrics: per-stage rows/s + batch-wall p50/p99
-            # (the reference's prometheus/hdrhistogram role) and a host
-            # snapshot, drained once per run
-            import ray
-
-            from ..state.metrics import drain_summary, host_snapshot
-            result["stages"] = drain_summary(self._metrics_handle)
-            result["host"] = host_snapshot()
-            ray.kill(self._metrics_handle)
-            self._metrics_handle = None
+        # T12 self-metrics: Ray Data's per-operator stats of every
+        # executed write and read-back, summed over shards, and a host
+        # snapshot
+        from ..state.metrics import host_snapshot, merge_operator_stats
+        if self.stage_metrics:
+            result["stages"] = {
+                phase: merge_operator_stats(
+                    [s["stages"][phase] for s in shard_stats
+                     if phase in s["stages"]])
+                for phase in ("write", "stats")}
+        result["host"] = host_snapshot()
         vfs.write_text(self.fs, vfs.join(self.out_dir, "metrics.json"),
                        json.dumps({k: v for k, v in result.items()
                                    if k not in ("route_counts",

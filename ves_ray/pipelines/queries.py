@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..hashing import round_half_away, sql_splitmix64
-from ..sources.sequences import documents_as_sequences
+from ..sources.sequences import documents_as_sequences, read_parquet_sized
 from ..stages import aggregate as agg
 from ..stages import dedup, parse, similarity, textstats
 
@@ -53,9 +53,8 @@ _NTOK_SQL = r"len(regexp_split_to_array(text, '\s+'))"
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data as rd
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                           columns=columns)
+    return read_parquet_sized(os.path.join(sf_dir, f"{table}.parquet"),
+                              columns=columns)
 
 
 def _cents(col):
@@ -1754,14 +1753,13 @@ def q_purchase_prior_view(sf_dir: str):
     """As-of join (backward): each purchase event attached to the same
     user's most recent view at-or-before its timestamp; unmatched → -1."""
     import pyarrow.dataset as pds
-    import ray.data as rd
 
     from ..stages.relational import asof_join
     path = os.path.join(sf_dir, "events.parquet")
-    left = rd.read_parquet(path, columns=["event_id", "user_id", "ts"],
-                           filter=pds.field("event_type") == "purchase")
-    right = rd.read_parquet(path, columns=["event_id", "user_id", "ts"],
-                            filter=pds.field("event_type") == "view")
+    left = read_parquet_sized(path, columns=["event_id", "user_id", "ts"],
+                              filter=pds.field("event_type") == "purchase")
+    right = read_parquet_sized(path, columns=["event_id", "user_id", "ts"],
+                               filter=pds.field("event_type") == "view")
     out = asof_join(left, right, key_col="user_id", ts_col="ts",
                     left_cols=["event_id"], right_cols=["event_id"]).to_pandas()
     out["view_event_id"] = out["event_id_r"].fillna(-1).astype("int64")
@@ -2144,10 +2142,9 @@ def q_hash_sample(sf_dir: str):
     """Deterministic 1-in-20 sample with the predicate pushed to the
     read (only matching row groups/rows leave storage)."""
     import pyarrow.dataset as pds
-    import ray.data as rd
     expr = pc.bit_wise_and(pds.field("doc_id"), 15) == 7
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "source"], filter=expr)
+    ds = read_parquet_sized(os.path.join(sf_dir, "documents.parquet"),
+                            columns=["doc_id", "source"], filter=expr)
     return ds
 
 
@@ -2691,7 +2688,6 @@ def q_dedup_incremental(sf_dir: str):
     shard-sized + index-bucket-sized, never corpus-sized. Index caches
     under /tmp keyed by source mtime+size."""
     import pyarrow.dataset as pds
-    import ray.data as rd
 
     from ..stages.incremental import build_seen_index, probe_novel
     from ..state.bucketed import layout_build_lock, read_manifest
@@ -2702,7 +2698,7 @@ def q_dedup_incremental(sf_dir: str):
     root = f"/tmp/ves_seenidx-{base}-{sig}/docs_even"
 
     def half(parity: int):
-        return rd.read_parquet(
+        return read_parquet_sized(
             src, columns=["doc_id", "text"],
             filter=pc.bit_wise_and(pds.field("doc_id"), 1) == parity)
 

@@ -19,6 +19,8 @@ in-repo single-process oracle instead).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -47,12 +49,78 @@ def expand_paths(path_or_paths, filesystem=None) -> list[str]:
     return sorted(vfs.resolve_fs(p, filesystem)[1] for p in path_or_paths)
 
 
-def read_sequences(path_or_paths, *, columns: list[str] | None = None,
-                   include_paths: bool = False, concurrency: int | None = None):
+def read_blocks(nbytes: int) -> int:
+    """The read-sizing rule every sized read shares:
+    ``max(live cluster CPUs, ceil(nbytes / target_max_block_size))``.
+
+    One block per CPU keeps every core busy; larger inputs get as many
+    blocks as ``DataContext.target_max_block_size`` demands. Ray's own
+    default (``read_op_min_num_blocks=200``) instead splits a few tens
+    of MB into ~200 blocks of a few hundred rows each, and every later
+    stage pays its per-block overhead on each of them. Without a Ray
+    session the CPUs are the cores this process may run on."""
+    import ray
+    from ray.data import DataContext
+    if ray.is_initialized():
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    else:
+        cpus = len(os.sched_getaffinity(0))
+    target = DataContext.get_current().target_max_block_size
+    by_size = -(-int(nbytes) // target) if target else 1
+    return max(cpus, by_size, 1)
+
+
+def input_bytes(path_or_paths, filesystem=None) -> int:
+    """Summed size of the files under ``path_or_paths``; a directory
+    counts every file below it."""
+    from pyarrow import fs as pafs
+
+    from ..state import fs as vfs
+    paths = ([path_or_paths] if isinstance(path_or_paths, str)
+             else path_or_paths)
+    total = 0
+    for path in paths:
+        f, p = vfs.resolve_fs(path, filesystem)
+        info = f.get_file_info(p)
+        if info.type == pafs.FileType.Directory:
+            total += sum(i.size for i in f.get_file_info(
+                pafs.FileSelector(p, recursive=True))
+                if i.type == pafs.FileType.File)
+        elif info.type == pafs.FileType.File:
+            total += info.size
+    return total
+
+
+def read_parquet_sized(path_or_paths, *, nbytes: int | None = None,
+                       filesystem=None, **kw):
+    """``ray.data.read_parquet`` with its block count set by
+    ``read_blocks``. ``nbytes`` skips the size listing when the caller
+    already knows the input's size (a checkpoint manifest does)."""
     import ray.data as rd
-    paths = expand_paths(path_or_paths)
-    return rd.read_parquet(paths, columns=columns, include_paths=include_paths,
-                           concurrency=concurrency)
+    if nbytes is None:
+        nbytes = input_bytes(path_or_paths, filesystem)
+    return rd.read_parquet(path_or_paths, filesystem=filesystem,
+                           override_num_blocks=read_blocks(nbytes), **kw)
+
+
+def read_sequences(path_or_paths, *, columns: list[str] | None = None,
+                   include_paths: bool = False, concurrency: int | None = None,
+                   filesystem=None):
+    """Dataset over a sequences directory or fragment list. URI inputs
+    are listed scheme-stripped, so without an explicit ``filesystem``
+    they are read through the filesystem the first input's scheme
+    names (one store per call)."""
+    from ..state import fs as vfs
+    if not isinstance(path_or_paths, str):
+        path_or_paths = list(path_or_paths)
+    paths = expand_paths(path_or_paths, filesystem)
+    if filesystem is None and paths:
+        first = (path_or_paths if isinstance(path_or_paths, str)
+                 else path_or_paths[0])
+        filesystem = vfs.resolve_fs(first)[0]
+    return read_parquet_sized(paths, columns=columns,
+                              include_paths=include_paths,
+                              concurrency=concurrency, filesystem=filesystem)
 
 
 _WS = r"\s+"

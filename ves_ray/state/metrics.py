@@ -1,96 +1,75 @@
-"""Per-stage throughput metrics (SURVEY T12).
+"""Run metrics (SURVEY T12): Ray Data's per-operator stats and a host
+snapshot.
 
 The reference declares ``prometheus`` + ``hdrhistogram`` self-metrics
-(components/core-agent/Cargo.toml:45,51) and captures payload ``size``
-"required ONLY for metrics" (src/tailer/payload.rs:12-18). Batch
-analogue: a zero-CPU collector actor receives (stage, rows, wall_s)
-records fire-and-forget from instrumented ``map_batches`` callables —
-one tiny remote call per BATCH, never per row — and the driver drains
-it once at run end into per-stage series: rows/s and batch-wall
-p50/p99 (the hdrhistogram role). Dropped records (a crashed task's
-in-flight call) only under-count metrics; they never affect data
-correctness — lineage/aggregates come from the written sink.
+(components/core-agent/Cargo.toml:45,51). The batch analogue needs no
+collector of its own: Ray Data already records, per operator of every
+executed Dataset, task wall and CPU time, UDF time, tasks, blocks, rows
+and bytes. This module only folds those stats into plain dicts for the
+run result and ``metrics.json``. They are observability only; lineage
+and aggregates come from the written sink.
 """
 
 from __future__ import annotations
 
-import time
+import re
 
-import numpy as np
-
-_COLLECTOR_CLS = None
-
-
-def _collector_cls():
-    global _COLLECTOR_CLS
-    if _COLLECTOR_CLS is None:
-        import ray
-
-        @ray.remote(num_cpus=0)
-        class MetricsCollector:
-            def __init__(self):
-                self._records: list[tuple[str, int, float]] = []
-
-            def record(self, stage: str, rows: int, wall_s: float) -> None:
-                self._records.append((stage, rows, wall_s))
-
-            def drain(self) -> list[tuple[str, int, float]]:
-                out, self._records = self._records, []
-                return out
-
-        _COLLECTOR_CLS = MetricsCollector
-    return _COLLECTOR_CLS
+_BLOCKS_RE = re.compile(r"(\d+) blocks produced")
+_FIELDS = ("wall_s", "cpu_s", "udf_s", "tasks", "blocks", "rows", "bytes")
 
 
-def make_collector():
-    """One collector per pipeline run (num_cpus=0 — never steals a
-    worker slot)."""
-    return _collector_cls().remote()
+def _chain(summary):
+    yield summary
+    for parent in summary.parents:
+        yield from _chain(parent)
 
 
-def timed_stage(stage: str, fn, handle):
-    """Wrap a batch transform so every call reports (rows, wall) to the
-    collector fire-and-forget. The wrapper adds one clock read and one
-    async actor call per batch — negligible against batch compute."""
-    def wrapped(batch):
-        t0 = time.perf_counter()
-        out = fn(batch)
-        handle.record.remote(stage, len(out), time.perf_counter() - t0)
-        return out
-    return wrapped
-
-
-def drain_summary(handle) -> dict[str, dict]:
-    """Drain the collector and fold records into per-stage series."""
-    import ray
-    records = ray.get(handle.drain.remote())
-    stages: dict[str, list[tuple[int, float]]] = {}
-    for stage, rows, wall in records:
-        stages.setdefault(stage, []).append((rows, wall))
+def operator_stats(ds) -> dict[str, dict]:
+    """Per-operator stats of an executed Dataset, keyed by operator name
+    in plan order. ``wall_s``, ``cpu_s`` and ``udf_s`` sum over the
+    operator's tasks."""
     out = {}
-    for stage, recs in stages.items():
-        rows = np.array([r for r, _ in recs], dtype=np.int64)
-        walls = np.array([w for _, w in recs], dtype=np.float64)
-        total_wall = float(walls.sum())
-        out[stage] = {
-            "batches": int(len(recs)),
-            "rows": int(rows.sum()),
-            "rows_per_s": round(float(rows.sum()) / total_wall, 1)
-            if total_wall else None,
-            "batch_wall_p50_ms": round(float(np.percentile(walls, 50)) * 1e3, 3),
-            "batch_wall_p99_ms": round(float(np.percentile(walls, 99)) * 1e3, 3),
-        }
+    for summary in reversed(list(_chain(ds._plan.stats().to_summary()))):
+        for op in summary.operators_stats:
+            m = _BLOCKS_RE.search(op.block_execution_summary_str or "")
+            out[op.operator_name] = {
+                "wall_s": (op.wall_time or {}).get("sum", 0.0),
+                "cpu_s": (op.cpu_time or {}).get("sum", 0.0),
+                "udf_s": (op.udf_time or {}).get("sum", 0.0),
+                "tasks": (op.task_rows or {}).get("count", 0),
+                "blocks": int(m.group(1)) if m else 0,
+                "rows": (op.output_num_rows or {}).get("sum", 0),
+                "bytes": (op.output_size_bytes or {}).get("sum", 0),
+            }
     return out
 
 
+def merge_operator_stats(per_shard: list[dict[str, dict]]) -> dict[str, dict]:
+    """Sum operator stats of several executions by operator name."""
+    out: dict[str, dict] = {}
+    for ops in per_shard:
+        for name, rec in ops.items():
+            acc = out.setdefault(name, dict.fromkeys(_FIELDS, 0))
+            for k in _FIELDS:
+                acc[k] += rec[k]
+    return {name: {k: round(v, 4) if isinstance(v, float) else v
+                   for k, v in rec.items()} for name, rec in out.items()}
+
+
 def host_snapshot() -> dict:
-    """Self/host metrics (the reference's ``sysinfo`` role): process
-    peak RSS + CPU availability, stdlib-only."""
+    """Self/host metrics (the reference's ``sysinfo`` role): the cores
+    this process may run on, the Ray session's CPUs, load and driver
+    peak RSS, stdlib-only."""
     import os
     import resource
+
+    import ray
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return {
-        "cpus": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "ray_cpus": (int(ray.cluster_resources().get("CPU", 0))
+                     if ray.is_initialized() else None),
+        "loadavg_1m": round(os.getloadavg()[0], 2),
         "driver_maxrss_mb": round(ru.ru_maxrss / 1024, 1),
         "driver_utime_s": round(ru.ru_utime, 2),
         "driver_stime_s": round(ru.ru_stime, 2),
