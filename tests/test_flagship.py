@@ -326,39 +326,127 @@ def test_shard_parallelism_overlap_and_exactness(tmp_path):
 
 
 def test_stage_metrics_emitted(tmp_path):
-    """T12: Ray Data's per-operator stats of the executed write and
-    read-back, and each shard's read sizing, land in the run result and
-    metrics.json; stage_metrics=False switches the operator stats off."""
+    """T12: Ray Data's per-operator stats of the executed write, and each
+    shard's read sizing, land in the run result and metrics.json. Read,
+    transform and write run as one fused operator; the stats read-back
+    (``stages["stats"]``, ``stats_read``) only runs when a published
+    shard's lineage is recovered. stage_metrics=False switches the
+    operator stats off."""
     import json
 
     from ves_ray.sources.sequences import read_blocks
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
-    paths = write_sequences(in_dir, seed=53, n_rows=200, n_files=2)
+    paths = write_sequences(in_dir, seed=53, n_rows=200, n_files=4)
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
     keys = {"wall_s", "cpu_s", "udf_s", "tasks", "blocks", "rows", "bytes"}
-    write, stats = res["stages"]["write"], res["stages"]["stats"]
-    assert all(set(rec) == keys for rec in [*write.values(), *stats.values()])
-    assert any("ReadParquet" in name for name in write)
-    (name, w), = [(n, r) for n, r in write.items() if "Write" in n]
-    assert "MapBatches(transform)" in name
-    assert w["tasks"] >= 1 and w["udf_s"] > 0 and w["wall_s"] > 0
-    (name, p), = [(n, r) for n, r in stats.items() if "_shard_partial" in n]
-    assert p["rows"] > 0 and p["blocks"] >= 1
+    assert set(res["stages"]) == {"write"}
+    (name, w), = res["stages"]["write"].items()
+    assert name == "ReadParquet->MapBatches(transform)->Write"
+    assert set(w) == keys
+    assert w["tasks"] == 4 and w["udf_s"] > 0 and w["wall_s"] > 0
     shard, = res["shards"]
     nbytes = sum(os.path.getsize(f) for f in paths)
     assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
-    assert shard["stats_read"]["bytes"] > 0
-    assert shard["stats_read"]["blocks"] == 4      # the session's CPUs
+    assert shard["stats_read"] is None
     assert res["host"]["affinity_cpus"] >= 1 and res["host"]["ray_cpus"] == 4
     with open(os.path.join(out_dir, "metrics.json")) as f:
         m = json.load(f)
     assert m["stages"] == json.loads(json.dumps(res["stages"]))
     assert m["shards"][0]["read"] == shard["read"] and "host" in m
 
+    # recovery: the data is published but its lineage is gone
+    shutil.rmtree(os.path.join(out_dir, "lineage", f"shard={shard['shard']}"))
+    shutil.rmtree(os.path.join(out_dir, "_checkpoint"))
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    assert set(res["stages"]) == {"stats"}
+    (name, p), = [(n, r) for n, r in res["stages"]["stats"].items()
+                  if "_shard_partial" in n]
+    assert p["rows"] > 0 and p["blocks"] >= 1
+    shard, = res["shards"]
+    assert shard["read"] is None and shard["stats_read"]["bytes"] > 0
+    assert shard["stats_read"]["blocks"] == 4      # the session's CPUs
+
     res = FlagshipPipeline(in_dir, make_sources_table(), str(tmp_path / "o2"),
                            stage_metrics=False).run()
     assert "stages" not in res and "stages" not in res["shards"][0]
     assert res["rows"] == 200
+
+
+@pytest.mark.parametrize("n_files, n_rows, min_rows, operators", [
+    # fewer files than the 4 read blocks: Ray splits each read task's
+    # output, so the read runs as its own operator (as at the parent)
+    (2, 200, None, {"ReadParquet->SplitBlocks(2)": 2,
+                    "MapBatches(transform)->Write": 4}),
+    # 2000 // 500 = 4 blocks of min_rows rows, one per CPU: fused
+    (8, 2000, 500, {"ReadParquet->MapBatches(transform)->Write": 4}),
+    # 2000 // 600 = 3 < 4 CPUs: uncapped read, bundled write
+    (8, 2000, 600, {"ReadParquet": 4, "MapBatches(transform)->Write": 2}),
+])
+def test_shard_plan_shape(tmp_path, n_files, n_rows, min_rows, operators):
+    """The operators a shard executes, with their task counts, and one
+    file per route per write task. A row cap that would leave a CPU
+    without a block is not applied; the write bundles instead."""
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    write_sequences(in_dir, seed=53, n_rows=n_rows, n_files=n_files)
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir,
+                           min_rows_per_file=min_rows).run()
+    assert res["rows"] == n_rows
+    assert {n: r["tasks"] for n, r in res["stages"]["write"].items()} \
+        == operators
+    assert res["shards"][0]["read"]["blocks"] == 4
+    writes = operators["ReadParquet->MapBatches(transform)->Write"
+                       if len(operators) == 1
+                       else "MapBatches(transform)->Write"]
+    routed = os.path.join(out_dir, "routed")
+    per_route = [len(fs) for d, _, fs in os.walk(routed)
+                 if os.path.basename(d).startswith("route=")]
+    assert per_route and max(per_route) == writes
+    assert pq.ParquetDataset(routed).read(columns=["doc_id"]).num_rows \
+        == n_rows
+
+
+def test_recovery_read_back_rebuilds_same_lineage(tmp_path, monkeypatch):
+    """A shard whose data was published but whose lineage dir is
+    missing gets its lineage rebuilt by the read-back of the written
+    files: equal to what the write's own returns produced, same
+    checksum version, and the routed files are left untouched."""
+    from ves_ray.pipelines import flagship
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    write_sequences(in_dir, seed=61, n_rows=600, n_files=6)
+    first = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    sid = first["shards"][0]["shard"]
+    lin_dir = os.path.join(out_dir, "lineage", f"shard={sid}")
+    before = {name: pq.read_table(os.path.join(lin_dir, f"{name}.parquet"))
+              for name in ("lineage", "route_counts", "source_hist")}
+    routed = os.path.join(out_dir, "routed")
+
+    def snapshot():
+        return {os.path.relpath(os.path.join(d, f), routed):
+                (os.stat(os.path.join(d, f)).st_mtime_ns,
+                 os.path.getsize(os.path.join(d, f)))
+                for d, _, fs in os.walk(routed) for f in fs}
+
+    files = snapshot()
+    shutil.rmtree(lin_dir)
+    shutil.rmtree(os.path.join(out_dir, "_checkpoint"))
+    calls = []
+    orig = flagship._read_routed
+
+    def spy(*a, **kw):
+        calls.append(a[0])
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(flagship, "_read_routed", spy)
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    assert len(calls) == 1 and calls[0].endswith(f"shard={sid}")
+    assert res["rows"] == 600 and res["shards"][0]["shard"] == sid
+    for name, table in before.items():
+        got = pq.read_table(os.path.join(lin_dir, f"{name}.parquet"))
+        assert got.equals(table, check_metadata=True), name
+    assert before["lineage"].schema.metadata[b"ck_ver"]
+    assert snapshot() == files
+    assert res["route_counts"].equals(first["route_counts"])
 
 
 def test_generator_input_processes_every_row(tmp_path):
@@ -372,8 +460,8 @@ def test_generator_input_processes_every_row(tmp_path):
 
 
 def test_shard_executes_no_limit_plan(tmp_path, monkeypatch):
-    """One shard executes exactly two plans, the write and the stats
-    read-back, and neither is a Limit schema probe."""
+    """A happy-path shard executes exactly one plan, the write, and it
+    is not a Limit schema probe."""
     from ray.data._internal.logical.operators.one_to_one_operator import Limit
     from ray.data._internal.plan import ExecutionPlan
 
@@ -397,10 +485,12 @@ def test_shard_executes_no_limit_plan(tmp_path, monkeypatch):
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
     assert res["rows"] == 200
     # the write executes its plan, then reads its own (already computed)
-    # output through an InputData plan; only Read-rooted plans do work
+    # output through an InputData plan; only Read-rooted plans do work,
+    # and the shard's stats come from the write's returns
     work = [d for d in executed
             if any(type(o).__name__ == "Read" for o in ops(d))]
-    assert len(work) == 2
+    assert len(work) == 1
+    assert type(work[0]).__name__ == "Write"
     assert not any(isinstance(o, Limit) for d in executed for o in ops(d))
 
 

@@ -26,6 +26,25 @@ def test_read_blocks_floor_is_live_cpus_and_grows_with_bytes():
     assert blocks == sorted(blocks) and min(blocks) >= cpus
 
 
+def test_read_blocks_row_cap_keeps_min_rows_per_block():
+    """With rows and min_rows, blocks are capped at rows // min_rows,
+    but never below the live CPUs; without them the count is
+    unchanged."""
+    cpus = int(ray.cluster_resources()["CPU"])
+    target = DataContext.get_current().target_max_block_size
+    big = 10 * cpus * target
+    assert read_blocks(1, rows=cpus * 12_500, min_rows=12_500) == cpus
+    assert read_blocks(1, rows=50_000, min_rows=None) == cpus
+    # too few rows for a min_rows block per CPU: uncapped
+    assert read_blocks(1, rows=100, min_rows=12_500) == cpus
+    assert read_blocks(big, rows=(cpus - 1) * 12_500,
+                       min_rows=12_500) == 10 * cpus
+    # the cap binds between the CPUs and the byte-sized count
+    assert read_blocks(big, rows=5 * cpus * 12_500,
+                       min_rows=12_500) == 5 * cpus
+    assert read_blocks(big, rows=10 ** 9, min_rows=1) == 10 * cpus
+
+
 def test_sized_read_uses_one_block_per_cpu(tmp_path):
     """A small single-file table is read as live-CPU blocks, not Ray's
     default of at least 200."""

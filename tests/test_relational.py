@@ -337,6 +337,33 @@ def test_asof_join_hot_key_presplit_identical():
     assert len(split) == left_t.num_rows
 
 
+def test_asof_hot_spill_outlives_dropped_wrapper(tmp_path):
+    """A Dataset derived from the hot-split as-of join keeps the spill
+    alive after the join's own result object is collected; the spill
+    is removed once the derived plan is gone too."""
+    import gc
+    import os
+
+    t = _skewed_stream()
+    idx = np.arange(t.num_rows)
+    left_t = t.filter(pa.array(idx % 2 == 1)).rename_columns(
+        ["user_id", "ts", "lv"])
+    right_t = t.filter(pa.array(idx % 2 == 0)).rename_columns(
+        ["user_id", "ts", "rv"])
+    derived = asof_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
+                        key_col="user_id", ts_col="ts", left_cols=["lv"],
+                        right_cols=["rv"], num_buckets=8, hot_frac=0.05,
+                        hot_ranges=8, scratch_dir=str(tmp_path)
+                        ).map_batches(lambda b: b, batch_format="pyarrow")
+    gc.collect()
+    spills = [n for n in os.listdir(tmp_path) if n.startswith("ves_asof_hot_")]
+    assert len(spills) == 1
+    assert len(derived.to_pandas()) == left_t.num_rows
+    del derived
+    gc.collect()
+    assert not os.path.exists(tmp_path / spills[0])
+
+
 def test_asof_join_hot_no_right_rows():
     """Hot key with an empty right side: all left rows keep nulls."""
     t = _skewed_stream(n=600)

@@ -1,39 +1,56 @@
 """Flagship pipeline: parse → enrich → route → aggregate (north_star).
 
-One streaming Dataset execution per shard of input fragments, plus one
-narrow read-back. Default physical plan (enrich_mode auto → task for
-small lookups):
+One streaming Dataset execution per shard of input fragments. Default
+physical plan (enrich_mode auto → task for small lookups), ONE fused
+task per read block:
 
-    read_parquet(pending, include_paths,         # S8/S9: fragment read
-                 override_num_blocks=read_blocks(shard bytes))
-      → map_batches(parse+checksum+enrich+salt) # T1/T4/T5 one fused stage
-      → write_parquet(.tmp-shard, partition_cols=['route'])   # T7
+    ReadParquet(pending, include_paths)          # S8/S9: fragment read
+      -> MapBatches(parse+checksum+enrich+salt)  # T1/T4/T5
+      -> Write(RoutedShardSink: .tmp-shard/route=*/)            # T7
+         each task returns its file names + (fragment, route,
+         source) partials of exactly the rows it wrote      # T6+T8
+    on_write_complete: listing == returned names, partials
+               combined → lineage + per-shard aggregates
     atomic rename .tmp-shard → shard=<id>        # durable data
-    stats    = ONE narrow pass over the WRITTEN shard:          # T6+T8
-               read_parquet(shard, 5 columns, sized the same way)
-               → block-local (fragment,route,source) partials,
-               streamed to the driver by iter_batches (one execution,
-               no schema probe) → combine → lineage + per-shard aggregates
     markers  = per-fragment checkpoint records (written LAST)   # T9
     final aggregates = O(shards) merge of per-shard records
 
-Read sizing (sources.sequences.read_blocks): every sized read asks for
-``max(live cluster CPUs, ceil(input bytes / target_max_block_size))``
-blocks. Ray's default of at least 200 read blocks would cut a 56 MB
-shard into blocks of a few hundred rows, and each later stage pays its
-per-block overhead on every one of them. Input bytes come from the
-checkpoint manifest for the fragment read and from a listing of the
-written shard for the read-back; each shard's result records both
-(``read`` and ``stats_read``: bytes, blocks).
+Read sizing (sources.sequences.read_blocks): a shard is read as
+``max(live CPUs, ceil(bytes / target_max_block_size))`` blocks, bytes
+and rows taken from the checkpoint manifest. Ray's default of at least
+200 read blocks would cut a 56 MB shard into blocks of a few hundred
+rows, each paying every stage's per-block overhead. With
+``min_rows_per_file`` in task mode the count is capped at
+``rows // min_rows_per_file`` as long as that still gives every CPU a
+block; the sink then asks for no minimum rows per write, so Ray fuses
+read, transform and write into one task per block, and each task
+(at least ``min_rows_per_file`` rows) writes one file per route. A shard too
+small for that cap (rows < CPUs × min_rows_per_file) keeps the uncapped
+read, and its write bundles ``min_rows_per_file`` rows per task as
+``write_parquet`` would: no core idles to make files larger. A shard of
+fewer files than blocks makes Ray split each read task's output, and
+the read then runs as its own operator. ``split_fragment_rows`` units
+(file + row-group range) are packed into the same number of
+``from_items`` blocks, each read by one task. Each shard's result
+records its ``read`` sizing (bytes, blocks).
 
 Stage metrics (``stage_metrics=True``) are Ray Data's own per-operator
-stats of the executed write Dataset (read, transform, encode + write)
-and of the executed read-back, summed over shards into
-``result["stages"]`` and ``metrics.json``; no collector actor runs.
+stats of the executed write Dataset (read, transform, encode + write
+in one operator), summed over shards into ``result["stages"]`` and
+``metrics.json``; no collector actor runs.
 
 With enrich_mode="actor" (auto for lookups ≥ 96 MB — measured
 crossover, see ENRICH_ACTOR_THRESHOLD_BYTES) the fused stage
-splits into stateless parse tasks → Enricher actor pool → salt tasks.
+splits into stateless parse tasks → Enricher actor pool → salt tasks,
+the read is not row-capped, and the write bundles
+``min_rows_per_file`` rows per task instead.
+
+``RoutedShardSink`` builds on Ray Data internals, not its public API:
+``ParquetDatasink``, ``choose_row_group_limits``, the write-UUID
+keyword and ``call_with_retry`` (``ray.data._internal``), the
+``min_rows_per_write`` hook and ``TaskContext.task_idx``/``kwargs``.
+These move between Ray releases, so pyproject pins Ray to the tested
+minor release.
 
 Exactly-once story (ADR invariants, checkpoint-store ADR :10-13,27-34):
 - data + lineage become durable via atomic directory renames BEFORE
@@ -42,47 +59,54 @@ Exactly-once story (ADR invariants, checkpoint-store ADR :10-13,27-34):
   next run); a crash between rename and markers is recovered by
   re-deriving markers from the published lineage records —
   no reprocessing, no duplication, no skips;
-- lineage and aggregates are computed FROM THE WRITTEN SINK
-  (column-pruned read-back), never from side-effect counters, so Ray
-  task retries and resumed runs yield identical totals (SURVEY §4.2
-  hard part 1).
+- lineage and aggregates are computed from what was WRITTEN, never
+  from side-effect counters: each write task returns the partials of
+  the very tables it handed to the Parquet writer, under file names
+  fixed by its task index, so a Ray task retry overwrites its own
+  files and the last attempt's return is the one counted; the driver
+  deletes every file under the shard that no return names before it
+  publishes (SURVEY §4.2 hard part 1);
+- a shard whose data was published but whose lineage was not (a crash
+  between the two renames) is the one case that reads its written
+  files back (``_read_routed``, 5 narrow columns) to rebuild them.
+
+The input/output filesystem guard in ``FlagshipPipeline.__init__``
+compares only the filesystems' ``type_name``: two different stores of
+the same kind (two S3 buckets with different credentials, say) pass it.
 
 Scale notes: no all-to-all exchange anywhere — the only "shuffle" is
-collecting O(blocks × routes) partial rows to the driver per shard;
-routing skew is handled by salting hot routes (stages.route); the
-stats read-back touches 5 narrow columns of the written shard.
+collecting O(blocks × routes × sources) partial rows to the driver per
+shard; routing skew is handled by salting hot routes (stages.route).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyarrow import fs as pafs
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
-from ..schema import SOURCES_SCHEMA
 from ..sources.sequences import (expand_paths, input_bytes, read_blocks,
                                  read_parquet_sized)
 from ..stages.enrich import Enricher, _as_table
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
-from ..state.checkpoint import (UNIT_SEP, CheckpointStore,
-                                atomic_publish_dir, build_manifest,
-                                clean_stale_tmp)
+from ..state.checkpoint import (CheckpointStore, atomic_publish_dir,
+                                build_manifest, clean_stale_tmp)
 from ..state import fs as vfs
 from ..state.lineage import add_row_checksum_batch
 
 
 def _shard_partial(batch: pa.Table) -> pa.Table:
-    """Block-local partial for every per-shard statistic at once:
-    grouped by (fragment, route, source) → events / n_tok_sum /
-    checksum. One row per key-combo per block (a block usually covers
-    one fragment), so the collected partials are O(blocks × routes) —
-    driver-combinable at any shard size."""
+    """Partial for every per-shard statistic at once, over the rows
+    one write task wrote (or one read-back block): grouped by
+    (fragment, route, source) → events / n_tok_sum / checksum. One row
+    per key combination per task, so the collected partials are tiny
+    and driver-combinable at any shard size."""
     if len(batch) == 0:
         return pa.table({"fragment": pa.array([], type=pa.string()),
                          "route": pa.array([], type=pa.string()),
@@ -194,6 +218,88 @@ def _read_routed(routed_root: str, columns: list[str] | None,
                               filesystem=filesystem, nbytes=nbytes)
 
 
+class RoutedShardSink(ParquetDatasink):
+    """The shard's route-partitioned Parquet write (see the module
+    docstring). ``write`` calls ``write_dataset`` with the arguments
+    ``Dataset.write_parquet`` would use, under names fixed by the write
+    and task index, and returns those names and ``_shard_partial`` of
+    exactly the tables written. ``on_write_complete`` deletes unreturned
+    files, fails on missing ones and leaves the combined stats in
+    ``self.stats``. With ``bundle_rows`` None Ray fuses the write with
+    the read and the transform, one task per read block."""
+
+    def __init__(self, path: str, *, filesystem, min_rows_per_file=None,
+                 bundle_rows: int | None = None, **write_opts):
+        super().__init__(path, partition_cols=["route"],
+                         arrow_parquet_args=write_opts,
+                         min_rows_per_file=min_rows_per_file,
+                         filesystem=filesystem)
+        self.bundle_rows = bundle_rows
+        self.stats: dict[str, pa.Table] | None = None
+
+    @property
+    def min_rows_per_write(self):
+        return self.bundle_rows
+
+    def write(self, blocks, ctx) -> dict:
+        import pyarrow.dataset as pds
+        from ray.data._internal.datasource.parquet_datasink import \
+            choose_row_group_limits
+        from ray.data._internal.planner.plan_write_op import \
+            WRITE_UUID_KWARG_NAME
+        from ray.data._internal.util import call_with_retry
+        from ray.data.block import BlockAccessor
+
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow()
+                              for b in blocks) if len(t)]
+        if not tables:
+            return {"files": [], "partial": _shard_partial(pa.table({}))}
+        schema = pa.unify_schemas([t.schema for t in tables])
+        tables = [t if t.schema.equals(schema) else t.cast(schema)
+                  for t in tables]
+        min_group, max_group, max_file = choose_row_group_limits(
+            None, self.min_rows_per_file, None)
+        name = f"{ctx.kwargs[WRITE_UUID_KWARG_NAME]}_{ctx.task_idx:06}_000000"
+        prefix = self.path.rstrip("/") + "/"
+        files: list[str] = []
+
+        def write_tables():
+            files.clear()
+            pds.write_dataset(
+                tables, base_dir=self.path, schema=schema,
+                basename_template=f"{name}-{{i}}.parquet",
+                filesystem=self.filesystem, partitioning=["route"],
+                partitioning_flavor="hive", format="parquet",
+                existing_data_behavior="overwrite_or_ignore",
+                use_threads=True, min_rows_per_group=min_group,
+                max_rows_per_group=max_group, max_rows_per_file=max_file,
+                file_options=pds.ParquetFileFormat().make_write_options(
+                    **self.arrow_parquet_args),
+                file_visitor=lambda f: files.append(f.path[len(prefix):]))
+
+        call_with_retry(write_tables, description=f"write {name}",
+                        match=self._data_context.retried_io_errors)
+        return {"files": sorted(files),
+                "partial": _shard_partial(pa.concat_tables(tables))}
+
+    def on_write_complete(self, write_result) -> None:
+        returns = write_result.write_returns
+        named = {f for r in returns for f in r["files"]}
+        prefix = self.path.rstrip("/") + "/"
+        listed = {i.path[len(prefix):] for i in self.filesystem.get_file_info(
+            pafs.FileSelector(self.path, recursive=True))
+            if i.type == pafs.FileType.File}
+        for stray in sorted(listed - named):
+            self.filesystem.delete_file(prefix + stray)
+        missing = sorted(named - listed)
+        if missing:
+            raise RuntimeError(f"write tasks returned files that are not "
+                               f"under {self.path}: {missing[:5]}")
+        self.stats = _combine_partials(pa.concat_tables(
+            [_shard_partial(pa.table({}))]
+            + [r["partial"] for r in returns]))
+
+
 class FlagshipPipeline:
     """Driver object (the batch analogue of the reference Watcher +
     TailerManager wiring, src/watcher/watcher.rs:92-161 +
@@ -257,7 +363,8 @@ class FlagshipPipeline:
         # rides into the Ray read/write tasks. Input paths that
         # resolve to a DIFFERENT filesystem kind than out_dir would
         # surface as FileNotFoundError deep in build_manifest — catch
-        # the mismatch loudly here instead.
+        # the mismatch loudly here instead. Only the kind (type_name)
+        # is compared, not the resolved store or its options.
         self.fs, out_inner = vfs.resolve_fs(out_dir, filesystem)
         # materialize once: a generator input must feed both the probe
         # below and the listing
@@ -333,25 +440,36 @@ class FlagshipPipeline:
         return [pending[i:i + size] for i in range(0, len(pending), size)]
 
     # -- transform DAG -------------------------------------------------
-    def _read_fragments(self, paths: list[str], nbytes: int | None = None):
-        """Source Dataset for a shard. Plain fragment paths go through
-        ``read_parquet`` sized by ``read_blocks`` over their ``nbytes``
-        (include_paths supplies the fragment id); unit-qualified ids
-        ("<file>#rg<a>-<b>", split_fragment_rows) are read by a map
-        stage that pulls exactly its row-group range — one task per
-        unit, the unit id as the fragment column."""
+    def _read_fragments(self, frags):
+        """Source Dataset for a shard, and its sizing (bytes, blocks).
+        Plain fragment paths go through ``read_parquet`` (include_paths
+        supplies the fragment id); unit-qualified ids
+        ("<file>#rg<a>-<b>", split_fragment_rows) are packed into
+        ``from_items`` blocks, and a map stage reads each block's units,
+        exactly their row-group ranges, with the unit id as the
+        fragment column. Either way the block count is ``read_blocks``
+        over the shard's bytes and manifest rows."""
         import ray.data as rd
         from ..state.checkpoint import parse_unit
-        parsed = [parse_unit(p) for p in paths]
+        parsed = [parse_unit(f.path) for f in frags]
+        # a unit's extent carries its FILE's size: count each file once
+        nbytes = sum({p: f.size_bytes for f, (p, _, _) in zip(frags, parsed)}
+                     .values())
+        # actor mode bundles its writes, so only task mode caps the read
+        blocks = read_blocks(nbytes, sum(f.num_rows for f in frags),
+                             self.min_rows_per_file
+                             if self.enrich_mode == "task" else None)
         if all(a is None for _, a, _ in parsed):
-            return read_parquet_sized(paths, nbytes=nbytes,
-                                      include_paths=True,
-                                      concurrency=self.read_concurrency,
-                                      filesystem=self.fs)
-        items = [{"file": f, "rg_start": -1 if a is None else a,
-                  "rg_end": -1 if b is None else b, "unit": p}
-                 for p, (f, a, b) in zip(paths, parsed)]
-
+            ds = rd.read_parquet([f.path for f in frags],
+                                 override_num_blocks=blocks,
+                                 include_paths=True,
+                                 concurrency=self.read_concurrency,
+                                 filesystem=self.fs)
+            return ds, {"bytes": nbytes, "blocks": blocks}
+        items = [{"file": p, "rg_start": -1 if a is None else a,
+                  "rg_end": -1 if b is None else b, "unit": f.path}
+                 for f, (p, a, b) in zip(frags, parsed)]
+        blocks = min(blocks, len(items))
         f_sys = self.fs
 
         def read_unit(batch: pa.Table) -> pa.Table:
@@ -367,28 +485,15 @@ class FlagshipPipeline:
                     "path", pa.array([row["unit"]] * len(t))))
             return pa.concat_tables(tabs)
 
-        # Two things here are load-bearing for parallelism, because the
-        # executor's input-bundling counts THIS stage's input rows —
-        # the one-row unit descriptors, not the ~split_fragment_rows
-        # data rows each expands into:
-        # - batch_size=1 (forwarded as min_rows_per_bundled_input):
-        #   the default would bundle every descriptor into one task;
-        # - ray_remote_args_fn=... blocks operator fusion with the
-        #   downstream transform+Write chain, whose min_rows_per_file
-        #   would otherwise impose a data-scale row demand ON
-        #   DESCRIPTOR ROWS and serialize the whole shard into one
-        #   task. Unfused, the write's bundling counts real rows —
-        #   exactly like the ReadParquet path, where the read operator
-        #   is separate as well.
-        return rd.from_items(items, override_num_blocks=len(items)) \
-                 .map_batches(read_unit, batch_format="pyarrow",
-                              batch_size=1, zero_copy_batch=True,
-                              ray_remote_args_fn=lambda: {})
+        ds = rd.from_items(items, override_num_blocks=blocks).map_batches(
+            read_unit, batch_format="pyarrow", batch_size=None,
+            zero_copy_batch=True)
+        return ds, {"bytes": nbytes, "blocks": blocks}
 
-    def build_routed_dataset(self, paths: list[str],
-                             nbytes: int | None = None):
+    def build_routed_dataset(self, frags):
+        """The shard's routed Dataset and its read sizing."""
         import ray
-        ds = self._read_fragments(paths, nbytes)
+        ds, sizing = self._read_fragments(frags)
         lookup_ref = ray.put(self.lookup)
         if self.enrich_mode == "task":
             # broadcast-small-side path: ONE fused task stage
@@ -397,7 +502,7 @@ class FlagshipPipeline:
             # extra plasma hops between sub-stages
             return ds.map_batches(
                 make_fused_transform(lookup_ref, self.hot_salt),
-                batch_format="pyarrow", zero_copy_batch=True)
+                batch_format="pyarrow", zero_copy_batch=True), sizing
         ds = ds.map_batches(_parse_and_checksum,
                             batch_format="pyarrow", zero_copy_batch=True)
         ds = ds.map_batches(Enricher,
@@ -408,7 +513,7 @@ class FlagshipPipeline:
                             num_cpus=self.enrich_num_cpus)
         ds = ds.map_batches(make_salter(self.hot_salt),
                             batch_format="pyarrow", zero_copy_batch=True)
-        return ds
+        return ds, sizing
 
     # -- shard execution ----------------------------------------------
     def _kill_shard(self, sid: str, member_paths) -> None:
@@ -502,57 +607,61 @@ class FlagshipPipeline:
         phases = {}
         stages = {}
         sizing = {"read": None, "stats_read": None}
-        paths = [f.path for f in frags]
         sid = _shard_id(frags)
         shard_dir = vfs.join(self.routed_root, f"shard={sid}")
         vfs.makedirs(self.fs, self.routed_root)
         vfs.makedirs(self.fs, self.lineage_root)
 
+        stats = None
         if not vfs.exists(self.fs, shard_dir):
             tmp = vfs.join(self.routed_root, f".tmp-{sid}")
-            nbytes = sum(f.size_bytes for f in frags)
-            # the unit path reads one block per row-group unit
-            units = any(UNIT_SEP in p for p in paths)
-            sizing["read"] = {"bytes": nbytes, "blocks": len(paths) if units
-                              else read_blocks(nbytes)}
-            ds = self.build_routed_dataset(paths, nbytes)
-            ds.write_parquet(tmp, partition_cols=["route"],
-                             min_rows_per_file=self.min_rows_per_file,
-                             filesystem=self.fs,
-                             **self.WRITE_OPTS)
+            ds, sizing["read"] = self.build_routed_dataset(frags)
+            # task mode fuses read, transform and write into one task
+            # per read block when every block holds min_rows_per_file
+            # rows. Otherwise (actor mode, which cannot fuse across the
+            # pool, or too few rows for such a block per CPU) the write
+            # bundles rows up to min_rows_per_file, as write_parquet does
+            mr = self.min_rows_per_file
+            fused = self.enrich_mode == "task" and (
+                not mr or sum(f.num_rows for f in frags)
+                >= sizing["read"]["blocks"] * mr)
+            sink = RoutedShardSink(
+                tmp, filesystem=self.fs, min_rows_per_file=mr,
+                bundle_rows=None if fused else mr, **self.WRITE_OPTS)
+            ds.write_datasink(sink)
+            stats = sink.stats
             if self.stage_metrics:
-                # write_parquet keeps the executed write Dataset: its
-                # stats cover read, transform and encode + write
+                # the executed write Dataset's stats cover read,
+                # transform and encode + write
                 stages["write"] = operator_stats(ds._write_ds)
             atomic_publish_dir(tmp, shard_dir, self.fs)
         phases["write_s"] = round(time.perf_counter() - t0, 3)
-        # lineage AND per-shard aggregates from the WRITTEN shard, in
-        # one narrow read-back (exactly-once; also the recovery path
-        # for a crash after data-rename, before markers). Storing the
-        # shard's aggregates beside its lineage makes the final
-        # aggregate an O(shards) metadata merge — no O(sink) re-read
-        # per run, which is what keeps resume cheap at 100 TB.
+        # lineage AND per-shard aggregates, stored beside each other:
+        # the final aggregate is then an O(shards) metadata merge, with
+        # no O(sink) re-read per run, which keeps resume cheap at scale
         lin_dir = vfs.join(self.lineage_root, f"shard={sid}")
         if not vfs.exists(self.fs, lin_dir):
-            # ONE distributed pass over the narrow columns: block-local
-            # (fragment, route, source) partials, streamed to the driver
-            # (tiny — O(blocks × routes) rows) and combined there. No
-            # all-to-all shuffle, and the plan executes exactly once.
-            nbytes = input_bytes(shard_dir, self.fs)
-            sizing["stats_read"] = {"bytes": nbytes,
-                                    "blocks": read_blocks(nbytes)}
-            partials = _read_routed(
-                shard_dir, ["fragment", "route", "source", "n_tok", "row_ck"],
-                filesystem=self.fs, nbytes=nbytes,
-            ).map_batches(_shard_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-            part = pa.concat_tables(
-                t for t in partials.iter_batches(batch_size=None,
-                                                 batch_format="pyarrow")
-                if len(t))
-            if self.stage_metrics:
-                stages["stats"] = operator_stats(partials)
-            stats = _combine_partials(part)
+            if stats is None:
+                # recovery only: the data was published by an earlier
+                # run that crashed before its lineage. Rebuild the stats
+                # from ONE narrow pass over the written shard:
+                # block-local partials, streamed to the driver and
+                # combined there.
+                nbytes = input_bytes(shard_dir, self.fs)
+                sizing["stats_read"] = {"bytes": nbytes,
+                                        "blocks": read_blocks(nbytes)}
+                partials = _read_routed(
+                    shard_dir,
+                    ["fragment", "route", "source", "n_tok", "row_ck"],
+                    filesystem=self.fs, nbytes=nbytes,
+                ).map_batches(_shard_partial, batch_format="pyarrow",
+                              zero_copy_batch=True)
+                stats = _combine_partials(pa.concat_tables(
+                    [_shard_partial(pa.table({}))]
+                    + [t for t in partials.iter_batches(
+                        batch_size=None, batch_format="pyarrow") if len(t)]))
+                if self.stage_metrics:
+                    stages["stats"] = operator_stats(partials)
             tmp = vfs.join(self.lineage_root, f".tmp-{sid}")
             vfs.makedirs(self.fs, tmp)
             # stamp the checksum implementation version: stored
@@ -730,15 +839,15 @@ class FlagshipPipeline:
             result["source_hist"] = aggs["source_hist"]
         result["wall_s"] = time.perf_counter() - t0_wall
         # T12 self-metrics: Ray Data's per-operator stats of every
-        # executed write and read-back, summed over shards, and a host
-        # snapshot
+        # executed write (and recovery read-back), summed over shards,
+        # and a host snapshot
         from ..state.metrics import host_snapshot, merge_operator_stats
         if self.stage_metrics:
             result["stages"] = {
-                phase: merge_operator_stats(
-                    [s["stages"][phase] for s in shard_stats
-                     if phase in s["stages"]])
-                for phase in ("write", "stats")}
+                phase: merge_operator_stats(recs)
+                for phase in ("write", "stats")
+                if (recs := [s["stages"][phase] for s in shard_stats
+                             if phase in s["stages"]])}
         result["host"] = host_snapshot()
         vfs.write_text(self.fs, vfs.join(self.out_dir, "metrics.json"),
                        json.dumps({k: v for k, v in result.items()

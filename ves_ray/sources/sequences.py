@@ -49,16 +49,25 @@ def expand_paths(path_or_paths, filesystem=None) -> list[str]:
     return sorted(vfs.resolve_fs(p, filesystem)[1] for p in path_or_paths)
 
 
-def read_blocks(nbytes: int) -> int:
+def read_blocks(nbytes: int, rows: int | None = None,
+                min_rows: int | None = None) -> int:
     """The read-sizing rule every sized read shares:
-    ``max(live cluster CPUs, ceil(nbytes / target_max_block_size))``.
+    ``max(live cluster CPUs, ceil(nbytes / target_max_block_size))``,
+    capped at ``rows // min_rows`` when both are given and that cap
+    still leaves every CPU a block.
 
     One block per CPU keeps every core busy; larger inputs get as many
     blocks as ``DataContext.target_max_block_size`` demands. Ray's own
     default (``read_op_min_num_blocks=200``) instead splits a few tens
     of MB into ~200 blocks of a few hundred rows each, and every later
-    stage pays its per-block overhead on each of them. Without a Ray
-    session the CPUs are the cores this process may run on."""
+    stage pays its per-block overhead on each of them. The cap keeps
+    blocks of at least ``min_rows`` rows, so a read fused with its
+    write (one file per block and partition) honours a
+    ``min_rows_per_file``. It never goes below the CPUs: with fewer
+    rows than ``CPUs × min_rows`` the count stays uncapped, some block
+    holds fewer than ``min_rows`` rows, and the caller must bundle its
+    writes instead (``rows < blocks × min_rows`` tells it so). Without
+    a Ray session the CPUs are the cores this process may run on."""
     import ray
     from ray.data import DataContext
     if ray.is_initialized():
@@ -67,7 +76,10 @@ def read_blocks(nbytes: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     target = DataContext.get_current().target_max_block_size
     by_size = -(-int(nbytes) // target) if target else 1
-    return max(cpus, by_size, 1)
+    blocks = max(cpus, by_size, 1)
+    if rows is not None and min_rows and int(rows) // min_rows >= cpus:
+        blocks = min(blocks, int(rows) // min_rows)
+    return blocks
 
 
 def input_bytes(path_or_paths, filesystem=None) -> int:

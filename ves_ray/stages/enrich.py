@@ -188,24 +188,3 @@ def broadcast_enrich(ds, table: pa.Table, *, left_key: str,
 
     return ds.map_batches(enrich, batch_format="pyarrow",
                           zero_copy_batch=True)
-
-
-def enrich_dataset(ds, lookup, *, key: str = "source", concurrency=4,
-                   batch_size: int = 32_768, num_cpus: float = 1):
-    """Attach the enrich actor pool to a Dataset.
-
-    Broadcasts the lookup with ``ray.put`` so the table ships to the
-    object store once and each actor reads it in ``__init__`` —
-    never re-serialized per batch.
-    """
-    import ray
-    ref = lookup if isinstance(lookup, ray.ObjectRef) else ray.put(_as_table(lookup))
-    return ds.map_batches(
-        Enricher,
-        fn_constructor_kwargs=dict(lookup=ref, key=key),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )

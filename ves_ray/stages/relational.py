@@ -24,7 +24,7 @@ from .window import _bucket_of
 
 def _rm_spill(f: pafs.FileSystem, path: str) -> None:
     """weakref.finalize callback: best-effort removal of a hot-slice
-    spill directory once the Dataset that reads it is unreachable."""
+    spill directory once no Dataset plan that reads it is reachable."""
     try:
         f.delete_dir(path)
     except Exception:
@@ -160,7 +160,7 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
     # job's data; VERDICT r3). The spill goes through the state.fs
     # seam: pass ``scratch_dir`` on shared storage for multi-node runs
     # (spill tasks run on workers; later stages read from any node).
-    # The directory is deleted when the returned Dataset is GC'd.
+    # The directory is deleted once no plan that reads it is reachable.
     import uuid
     import weakref
 
@@ -319,11 +319,14 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
 
     hot_out = (left_p.union(right_p).groupby("abucket")
                .map_groups(per_bucket, batch_format="pandas"))
-    result = cold.union(hot_out)
     # repeated asof joins must not accumulate spill copies (ADVICE r4):
-    # the spill lives exactly as long as the lazy Dataset that reads it
-    weakref.finalize(result, _rm_spill, spill_fs, spill)
-    return result
+    # the spill lives exactly as long as the driver's ``per_bucket``.
+    # The logical plan of the result, and of every Dataset derived from
+    # it, holds that function (the copies pickled into workers carry no
+    # finalizer), while the returned Dataset object itself may be
+    # dropped before the lazy read runs.
+    weakref.finalize(per_bucket, _rm_spill, spill_fs, spill)
+    return cold.union(hot_out)
 
 
 def range_join_bands(ds, bands: pa.Table, *, value_col: str,

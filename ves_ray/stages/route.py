@@ -87,12 +87,3 @@ def make_salter(hot_salt: dict[str, int]):
     def _salt(batch: pa.Table) -> pa.Table:
         return add_salt_batch(batch, hot_salt)
     return _salt
-
-
-def write_routed(ds, out_dir: str, *, min_rows_per_file: int = 250_000) -> None:
-    """T7: per-route Parquet sinks. ``partition_cols=['route']`` gives
-    one directory per route (hive layout route=<name>/), the resumable
-    sink layout: a rerun of a shard overwrites only that shard's files
-    (see state.checkpoint for the atomic temp-dir + rename protocol)."""
-    ds.write_parquet(out_dir, partition_cols=["route"],
-                     min_rows_per_file=min_rows_per_file)

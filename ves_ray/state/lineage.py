@@ -53,27 +53,3 @@ def add_row_checksum_batch(batch: pa.Table, *, doc_col: str = "doc_id",
     ck = row_checksums(doc_h, values, offsets)
     ck = (ck & ROW_CK_MASK).astype(np.int64)
     return batch.append_column("row_ck", pa.array(ck, type=pa.int64()))
-
-
-def lineage_from_routed(routed_ds):
-    """Aggregate lineage per input fragment from the routed output:
-    (fragment, rows, n_tok_sum, checksum). Column-pruned read; the
-    groupby runs over block-local partials (tiny shuffle)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"fragment": pa.array([], type=pa.string()),
-                             "rows": pa.array([], type=pa.int64()),
-                             "n_tok_sum": pa.array([], type=pa.int64()),
-                             "checksum": pa.array([], type=pa.int64())})
-        g = pa.TableGroupBy(batch, ["fragment"]).aggregate(
-            [([], "count_all"), ("n_tok", "sum"), ("row_ck", "sum")])
-        return g.rename_columns(["fragment", "rows", "n_tok_sum", "checksum"])
-
-    from ray.data.aggregate import Sum
-    partials = routed_ds.map_batches(partial, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    return partials.groupby("fragment").aggregate(
-        Sum("rows", alias_name="rows"),
-        Sum("n_tok_sum", alias_name="n_tok_sum"),
-        Sum("checksum", alias_name="checksum"),
-    )
