@@ -7,8 +7,8 @@ import pyarrow as pa
 import pytest
 
 import ray.data as rd
-from ves_ray.state.bucketed import (colocated_groupby, colocated_join,
-                                    read_manifest, write_bucketed)
+from ves_ray.state.bucketed import (colocated_join, read_manifest,
+                                    write_bucketed)
 
 
 def _mk(tmp_path, seed=3):
@@ -52,17 +52,6 @@ def test_colocated_join_left_and_agg_fusion(tmp_path):
     pd.testing.assert_frame_equal(_canon(got, cols), _canon(exp, cols))
 
 
-def test_colocated_groupby_matches_pandas(tmp_path):
-    left, _, pl, _ = _mk(tmp_path, seed=21)
-    got = colocated_groupby(pl, agg_cols={"lv": "sum"},
-                            count_alias="n").to_pandas()
-    exp = (left.to_pandas().groupby("k", as_index=False)
-           .agg(n=("lv", "size"), lv=("lv", "sum")))
-    cols = ["k", "n", "lv"]
-    pd.testing.assert_frame_equal(
-        _canon(got.astype({"n": "int64"}), cols), _canon(exp, cols))
-
-
 def test_manifest_mismatch_and_unpublished(tmp_path):
     t = pa.table({"k": pa.array([1, 2], type=pa.int64()),
                   "v": pa.array([1.0, 2.0])})
@@ -96,8 +85,7 @@ def test_bucketed_rebuild_over_crashed_partial_no_duplicates(tmp_path):
     """write_bucketed over a crashed (manifest-less) partial must drop
     the stale files, not append alongside them (ADVICE r3)."""
     import os
-    from ves_ray.state.bucketed import (colocated_groupby, read_manifest,
-                                        write_bucketed)
+    import pyarrow.parquet as pq
     t = pa.table({"k": pa.array(np.arange(1000, dtype=np.int64) % 50),
                   "x": pa.array(np.ones(1000, dtype=np.int64))})
     path = str(tmp_path / "lay")
@@ -106,8 +94,9 @@ def test_bucketed_rebuild_over_crashed_partial_no_duplicates(tmp_path):
     os.remove(os.path.join(path, "_bucketed.json"))   # crashed build
     write_bucketed(rd.from_arrow(t).repartition(4), path, key_col="k",
                    num_buckets=8)
-    out = colocated_groupby(path, agg_cols={"x": "sum"},
-                            count_alias="n").to_pandas()
+    read_manifest(path)
+    out = (pq.read_table(path, columns=["k", "x"]).to_pandas()
+           .groupby("k").agg(n=("x", "size"), x=("x", "sum")))
     assert int(out["n"].sum()) == 1000                # no duplicates
     assert (out["x"] == 20).all()
     leftovers = [d for d in os.listdir(tmp_path)

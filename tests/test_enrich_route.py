@@ -55,18 +55,6 @@ def test_salt_empty_and_no_hot():
     assert add_salt_batch(t2, {})["salt"].to_pylist() == [0]
 
 
-def test_route_salts_from_frequency():
-    """Sample-measured skew detection: the dominant route gets k salt
-    buckets, cold routes none."""
-    import pyarrow as pa
-    import ray.data as rd
-    from ves_ray.stages.route import route_salts_from_frequency
-    routes = ["hot-route"] * 9000 + [f"cold-{i % 10}" for i in range(1000)]
-    ds = rd.from_arrow(pa.table({"route": routes}))
-    salts = route_salts_from_frequency(ds, k=8, hot_frac=0.5, sample=0.5)
-    assert salts == {"hot-route": 8}
-
-
 def test_broadcast_enrich_matches_and_nulls():
     import ray.data as rd
 

@@ -328,10 +328,10 @@ def test_shard_parallelism_overlap_and_exactness(tmp_path):
 def test_stage_metrics_emitted(tmp_path):
     """T12: Ray Data's per-operator stats of the executed write, and each
     shard's read sizing, land in the run result and metrics.json. Read,
-    transform and write run as one fused operator; the stats read-back
-    (``stages["stats"]``, ``stats_read``) only runs when a published
-    shard's lineage is recovered. stage_metrics=False switches the
-    operator stats off."""
+    transform and write run as one fused operator, and it is the only
+    one a shard executes, also when a shard is reprocessed because its
+    commit record is gone. stage_metrics=False switches the operator
+    stats off."""
     import json
 
     from ves_ray.sources.sequences import read_blocks
@@ -347,24 +347,23 @@ def test_stage_metrics_emitted(tmp_path):
     shard, = res["shards"]
     nbytes = sum(os.path.getsize(f) for f in paths)
     assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
-    assert shard["stats_read"] is None
+    assert "stats_read" not in shard
     assert res["host"]["affinity_cpus"] >= 1 and res["host"]["ray_cpus"] == 4
     with open(os.path.join(out_dir, "metrics.json")) as f:
         m = json.load(f)
     assert m["stages"] == json.loads(json.dumps(res["stages"]))
     assert m["shards"][0]["read"] == shard["read"] and "host" in m
 
-    # recovery: the data is published but its lineage is gone
+    # the data is published but its lineage (with the commit record)
+    # is gone: the shard is reprocessed, by the same one operator
     shutil.rmtree(os.path.join(out_dir, "lineage", f"shard={shard['shard']}"))
     shutil.rmtree(os.path.join(out_dir, "_checkpoint"))
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
-    assert set(res["stages"]) == {"stats"}
-    (name, p), = [(n, r) for n, r in res["stages"]["stats"].items()
-                  if "_shard_partial" in n]
-    assert p["rows"] > 0 and p["blocks"] >= 1
+    assert set(res["stages"]) == {"write"}
+    assert list(res["stages"]["write"]) == [name]
     shard, = res["shards"]
-    assert shard["read"] is None and shard["stats_read"]["bytes"] > 0
-    assert shard["stats_read"]["blocks"] == 4      # the session's CPUs
+    assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
+    assert "stats_read" not in shard
 
     res = FlagshipPipeline(in_dir, make_sources_table(), str(tmp_path / "o2"),
                            stage_metrics=False).run()
@@ -405,13 +404,11 @@ def test_shard_plan_shape(tmp_path, n_files, n_rows, min_rows, operators):
         == n_rows
 
 
-def test_recovery_read_back_rebuilds_same_lineage(tmp_path, monkeypatch):
-    """A shard whose data was published but whose lineage dir is
-    missing gets its lineage rebuilt by the read-back of the written
-    files: equal to what the write's own returns produced, same
-    checksum version, and the routed files are left untouched."""
-    from ves_ray.pipelines import flagship
-
+def test_uncommitted_shard_reprocessed_once(tmp_path):
+    """A shard whose lineage dir, and with it the commit record, is gone
+    was never written: the rerun deletes its routed dir and reprocesses
+    the shard once, to the same lineage (with its checksum version),
+    per-shard aggregates and routed rows."""
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     write_sequences(in_dir, seed=61, n_rows=600, n_files=6)
     first = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
@@ -419,34 +416,50 @@ def test_recovery_read_back_rebuilds_same_lineage(tmp_path, monkeypatch):
     lin_dir = os.path.join(out_dir, "lineage", f"shard={sid}")
     before = {name: pq.read_table(os.path.join(lin_dir, f"{name}.parquet"))
               for name in ("lineage", "route_counts", "source_hist")}
-    routed = os.path.join(out_dir, "routed")
+    rows = _read_routed_df(out_dir).sort_values("doc_id", ignore_index=True)
 
-    def snapshot():
-        return {os.path.relpath(os.path.join(d, f), routed):
-                (os.stat(os.path.join(d, f)).st_mtime_ns,
-                 os.path.getsize(os.path.join(d, f)))
-                for d, _, fs in os.walk(routed) for f in fs}
-
-    files = snapshot()
     shutil.rmtree(lin_dir)
     shutil.rmtree(os.path.join(out_dir, "_checkpoint"))
-    calls = []
-    orig = flagship._read_routed
-
-    def spy(*a, **kw):
-        calls.append(a[0])
-        return orig(*a, **kw)
-
-    monkeypatch.setattr(flagship, "_read_routed", spy)
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
-    assert len(calls) == 1 and calls[0].endswith(f"shard={sid}")
-    assert res["rows"] == 600 and res["shards"][0]["shard"] == sid
+    assert res["pending_fragments"] == 6
+    assert [s["shard"] for s in res["shards"]] == [sid]
+    assert res["rows"] == 600
     for name, table in before.items():
         got = pq.read_table(os.path.join(lin_dir, f"{name}.parquet"))
         assert got.equals(table, check_metadata=True), name
     assert before["lineage"].schema.metadata[b"ck_ver"]
-    assert snapshot() == files
+    got = _read_routed_df(out_dir).sort_values("doc_id", ignore_index=True)
+    assert len(got) == 600
+    pd.testing.assert_frame_equal(got, rows)
     assert res["route_counts"].equals(first["route_counts"])
+    assert res["source_hist"].equals(first["source_hist"])
+
+
+def test_crash_after_routed_publish_then_reshard(tmp_path, monkeypatch):
+    """A crash after the routed dir is published but before the shard
+    commits, then a rerun that cuts different shards: the uncommitted
+    shard is deleted, so routed/ holds every row exactly once."""
+    from ves_ray.pipelines import flagship
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    paths = write_sequences(in_dir, seed=19, n_rows=800, n_files=4)
+    publish = flagship.atomic_publish_dir
+
+    def publish_then_crash(*a, **kw):
+        publish(*a, **kw)
+        raise RuntimeError("crash after the routed publish")
+
+    monkeypatch.setattr(flagship, "atomic_publish_dir", publish_then_crash)
+    with pytest.raises(RuntimeError, match="routed publish"):
+        FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    monkeypatch.undo()
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir,
+                           shard_size=1).run()
+    assert len(res["shards"]) == 4
+    oracle = oracle_routed(paths, make_sources_table())
+    got = _read_routed_df(out_dir)
+    assert sorted(got["doc_id"]) == sorted(oracle["doc_id"])
+    assert int(res["route_counts"].to_pandas()["events"].sum()) == 800
 
 
 def test_generator_input_processes_every_row(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
-from ves_ray.hashing import (U64, checksum_partition, hash_strings,
-                             reduce_by_row, row_checksums, splitmix64)
+from ves_ray.hashing import (U64, hash_strings, reduce_by_row, row_checksums,
+                             splitmix64)
 
 
 def test_splitmix_deterministic_and_spread():
@@ -82,12 +82,6 @@ def test_row_checksums_equal_reference(rows, cut, seed):
         np.testing.assert_array_equal(
             row_checksums(d, vals, offs),
             _row_checksums_reference(d, vals, offs))
-
-
-def test_partition_checksum_order_insensitive():
-    ck = np.array([2**62, 2**62, 123], dtype=np.uint64)
-    assert checksum_partition(ck) == checksum_partition(ck[::-1].copy())
-    assert 0 <= checksum_partition(ck) < 2**63
 
 
 def test_round_half_away_matches_sql_round():

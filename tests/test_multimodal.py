@@ -3,7 +3,7 @@ import pytest
 
 import ray.data as rd
 from ves_ray.stages.multimodal import (MediaDecoder, decode_media,
-                                       frame_sample_batch, make_fake_image)
+                                       make_fake_image)
 
 
 def _media_table(n=20):
@@ -42,11 +42,3 @@ def test_decode_media_actor_pool():
     assert len(out) == 20
     assert out["decode_ok"].all()
     assert set(out.columns) >= {"media_id", "width", "height", "pixel_mean"}
-
-
-def test_frame_sampling_deterministic():
-    t = _media_table(20)
-    a = frame_sample_batch(t, every=4)
-    b = frame_sample_batch(t, every=4)
-    assert a.equals(b)
-    assert 0 < len(a) < 20

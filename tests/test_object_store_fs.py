@@ -14,10 +14,13 @@ injection at three points:
 - ``mid_copy``: a directory move crashed partway through copying its
   files; manifest-named files are ordered LAST (what a correct
   object-store mover must do — see state/fs.py), so the partial
-  target is manifest-less and therefore unpublished to readers.
+  target is manifest-less and therefore unpublished to readers. A
+  single-file move is one whole-file put, so its mid-copy crash leaves
+  no target at all.
 
 Driven protocols: checkpoint markers, bucketed layout publish,
-compaction's two-rename swap + cleanup_stale repair, and export.
+compaction's two-rename swap + cleanup_stale repair, export, and the
+flagship shard commit.
 """
 
 import json
@@ -129,6 +132,8 @@ class NonAtomicMoveHandler(pafs.FileSystemHandler):
                 raise InjectedCrash(f"after copy: {src} -> {dest}")
             self.fs.delete_dir(src)
         else:
+            if crash_here and self.crash_point == "mid_copy":
+                raise InjectedCrash(f"mid copy (0/1): {src} -> {dest}")
             self.fs.copy_file(src, dest)
             if crash_here and self.crash_point == "after_copy":
                 raise InjectedCrash(f"after copy: {src} -> {dest}")
@@ -192,10 +197,14 @@ def _layout_table(seed, scale=1):
 
 
 def _groupby_sum(path, f):
-    from ves_ray.state.bucketed import colocated_groupby
-    return (colocated_groupby(path, agg_cols={"v": "sum"},
-                              count_alias="n", filesystem=f)
-            .to_pandas().sort_values("k", ignore_index=True))
+    """Per-key count and sum of a published layout, read back through
+    the same filesystem."""
+    import pyarrow.parquet as pq
+    from ves_ray.state.bucketed import read_manifest
+    read_manifest(path, filesystem=f)
+    return (pq.read_table(path, columns=["k", "v"], filesystem=f)
+            .to_pandas().groupby("k", as_index=False)
+            .agg(n=("v", "size"), v=("v", "sum")))
 
 
 def test_bucketed_publish_crash_windows(tmp_path, nafs):
@@ -321,3 +330,56 @@ def test_export_republish_after_mid_copy_crash_is_clean(tmp_path, nafs):
     listed = set(man["tables"]["t"]["files"])
     on_disk = {p.name for p in (tmp_path / "ship" / "t").iterdir()}
     assert listed <= on_disk          # strays may remain; never read
+
+
+def _flagship_run(f, out):
+    """One flagship run over ``in`` and its outputs: the routed rows
+    sorted by doc_id (without the shard column) and the aggregates."""
+    import pyarrow.dataset as pds
+    from ves_ray.fixtures import make_sources_table
+    from ves_ray.pipelines.flagship import FlagshipPipeline
+    res = FlagshipPipeline("in", make_sources_table(), out,
+                           filesystem=f).run()
+    t = pds.dataset(f"{out}/routed", filesystem=f,
+                    partitioning="hive").to_table()
+    rows = t.select(sorted(c for c in t.column_names if c != "shard"))
+    return rows.sort_by("doc_id"), res["route_counts"], res["source_hist"]
+
+
+@pytest.fixture(scope="module")
+def flagship_clean(tmp_path_factory):
+    """A crash-free flagship run, with the same store-relative input
+    paths as every crash case."""
+    from ves_ray.fixtures import write_sequences
+    root = tmp_path_factory.mktemp("clean")
+    write_sequences(str(root / "in"), seed=83, n_rows=800, n_files=4)
+    return _flagship_run(
+        pafs.SubTreeFileSystem(str(root), pafs.LocalFileSystem()), "out")
+
+
+#: a one-shard run's moves, in order, and the source each one moves
+_SHARD_MOVES = {1: "routed/.tmp-", 2: "fragments.parquet.tmp",
+                3: "_checkpoint/"}
+
+
+@pytest.mark.parametrize("point", ["before_copy", "mid_copy", "after_copy"])
+@pytest.mark.parametrize("move", sorted(_SHARD_MOVES))
+def test_flagship_shard_commit_crash_windows(tmp_path, nafs, flagship_clean,
+                                             move, point):
+    """A crash on the routed publish, the commit record's move or the
+    first marker's, before, during or after its copy: the rerun leaves
+    the routed rows, their doc_ids and the aggregates of a clean run.
+    A half-copied routed or lineage dir is never taken as written."""
+    from ves_ray.fixtures import write_sequences
+    f, h = nafs
+    write_sequences(str(tmp_path / "in"), seed=83, n_rows=800, n_files=4)
+    _arm(h, point, skip=move - 1)
+    with pytest.raises(InjectedCrash, match=_SHARD_MOVES[move]):
+        _flagship_run(f, "out")
+    _disarm(h)
+    rows, counts, hist = _flagship_run(f, "out")
+    want_rows, want_counts, want_hist = flagship_clean
+    assert rows.num_rows == 800
+    assert len(set(rows["doc_id"].to_pylist())) == 800
+    assert rows.equals(want_rows)
+    assert counts.equals(want_counts) and hist.equals(want_hist)

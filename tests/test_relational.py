@@ -207,40 +207,6 @@ def test_find_hot_keys_flags_dominant_key():
     assert len(hot) <= 3          # near-unique tail keys not flagged
 
 
-def test_skew_safe_join_matches_plain():
-    from ves_ray.stages.relational import skew_safe_hash_join
-    rng = np.random.default_rng(13)
-    lk = np.where(rng.random(3000) < 0.5, 7,
-                  rng.integers(0, 200, 3000))
-    left = pa.table({"k": pa.array(lk, type=pa.int64()),
-                     "lv": pa.array(np.arange(3000), type=pa.int64())})
-    right = pa.table({"k": pa.array(np.arange(0, 200), type=pa.int64()),
-                      "rv": pa.array(np.arange(200) * 10,
-                                     type=pa.int64())})
-    got = skew_safe_hash_join(rd.from_arrow(left), rd.from_arrow(right),
-                              key_col="k", left_cols=["lv"],
-                              right_cols=["rv"], hot_frac=0.05,
-                              num_buckets=8).to_pandas()
-    exp = pd.merge(left.to_pandas(), right.to_pandas(), on="k")
-    assert len(got) == len(exp)
-    pd.testing.assert_frame_equal(_canon(got), _canon(exp),
-                                  check_dtype=False)
-
-
-def test_skew_safe_join_left_unmatched_kept():
-    from ves_ray.stages.relational import skew_safe_hash_join
-    left = pa.table({"k": pa.array([7] * 50 + [999], type=pa.int64()),
-                     "lv": pa.array(np.arange(51), type=pa.int64())})
-    right = pa.table({"k": pa.array([7], type=pa.int64()),
-                      "rv": pa.array([1], type=pa.int64())})
-    got = skew_safe_hash_join(rd.from_arrow(left), rd.from_arrow(right),
-                              key_col="k", left_cols=["lv"],
-                              right_cols=["rv"], how="left",
-                              hot_frac=0.05, num_buckets=4).to_pandas()
-    assert len(got) == 51
-    assert got.loc[got["k"] == 999, "rv"].isna().all()
-
-
 def test_hash_join_string_keys():
     left = pa.table({"k": pa.array(["a", "b", "c", "a"]),
                      "lv": pa.array([1, 2, 3, 4], type=pa.int64())})
@@ -252,38 +218,6 @@ def test_hash_join_string_keys():
     exp = pd.merge(left.to_pandas(), right.to_pandas(), on="k")
     pd.testing.assert_frame_equal(_canon(got), _canon(exp),
                                   check_dtype=False)
-
-
-def test_skew_safe_left_join_uniform_block_schemas(tmp_path):
-    """Hot (broadcast) and cold (shuffle) blocks must emit IDENTICAL
-    schemas under how='left' — a hot left key unmatched on the right
-    previously float-promoted int columns in hot blocks only, while
-    cold blocks carried pandas nullable ints; write_parquet then sees
-    mixed block schemas."""
-    from ves_ray.stages.relational import skew_safe_hash_join
-    # key 7 is hot on the left and UNMATCHED on the right (null rv in
-    # hot blocks); key 999 is cold and unmatched (null rv in cold
-    # blocks); keys 0..9 matched in both paths
-    left = pa.table({"k": pa.array([77] * 60 + list(range(10)) + [999],
-                                   type=pa.int64()),
-                     "lv": pa.array(np.arange(71), type=pa.int64())})
-    right = pa.table({"k": pa.array(list(range(10)), type=pa.int64()),
-                      "rv": pa.array(np.arange(10) * 10,
-                                     type=pa.int64())})
-    ds = skew_safe_hash_join(rd.from_arrow(left), rd.from_arrow(right),
-                             key_col="k", left_cols=["lv"],
-                             right_cols=["rv"], how="left",
-                             hot_frac=0.05, num_buckets=4)
-    # consuming downstream as Arrow (the failure mode) must work
-    out = str(tmp_path / "out")
-    ds.write_parquet(out)
-    import duckdb
-    df = duckdb.sql(
-        f"SELECT * FROM read_parquet('{out}/*.parquet')").df()
-    assert len(df) == 71
-    assert df.loc[df["k"].isin([77, 999]), "rv"].isna().all()
-    got = df.loc[df["k"] < 10, ["k", "rv"]].sort_values("k")
-    assert (got["rv"].to_numpy() == np.arange(10) * 10).all()
 
 
 def _skewed_stream(seed=5, n=4000, hot_user=7):

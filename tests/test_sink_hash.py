@@ -81,3 +81,23 @@ def test_int_widths_canonicalize(con):
         con, rd.from_arrow(tbl),
         "SELECT * FROM (VALUES (CAST(1 AS BIGINT)), (2), (3)) AS t(k)")
     assert problems == []
+
+
+def test_sink_dir_holds_the_temp_sink(con, tmp_path, monkeypatch):
+    """--sink-dir: the temp sink is made under the given directory (a
+    mount every node sees) and removed afterwards."""
+    import tempfile
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def spy(*a, **kw):
+        made.append(mkdtemp(*a, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    rec, problems = sink_compare(con, rd.from_items(ROWS), SQL,
+                                 sink_dir=str(tmp_path))
+    assert problems == [] and rec["rows"] == 3
+    sink, = made
+    assert os.path.dirname(sink) == str(tmp_path)
+    assert os.listdir(tmp_path) == []

@@ -1,29 +1,19 @@
-"""JSONL/CSV sources with schema normalization (sources.structured)."""
-
-import json
-import os
+"""CSV source with schema normalization (sources.structured)."""
 
 import pyarrow as pa
 
-from ves_ray.sources.structured import read_csv, read_jsonl
+from ves_ray.sources.structured import read_csv
 
 SCHEMA = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
                     ("n_tok", pa.int64()), ("score", pa.float64())])
 
 
-def test_jsonl_schema_drift_normalized(tmp_path):
-    # shard 1: full schema; shard 2: missing n_tok, extra column,
-    # doc_id arrives as a JSON number that pandas may widen
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    a.write_text("\n".join(json.dumps(r) for r in [
-        {"doc_id": 1, "source": "s1", "n_tok": 10, "score": 0.5},
-        {"doc_id": 2, "source": "s2", "n_tok": 20, "score": 1.5},
-    ]))
-    b.write_text("\n".join(json.dumps(r) for r in [
-        {"doc_id": 3, "source": "s3", "score": 2.5, "junk": "x"},
-    ]))
-    out = (read_jsonl([str(a), str(b)], SCHEMA).to_pandas()
+def test_csv_schema_drift_normalized(tmp_path):
+    # shard 1: full schema; shard 2: missing n_tok, extra column
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("doc_id,source,n_tok,score\n1,s1,10,0.5\n2,s2,20,1.5\n")
+    b.write_text("doc_id,source,score,junk\n3,s3,2.5,x\n")
+    out = (read_csv([str(a), str(b)], SCHEMA).to_pandas()
            .sort_values("doc_id", ignore_index=True))
     assert list(out.columns) == [f.name for f in SCHEMA]
     assert out["doc_id"].tolist() == [1, 2, 3]

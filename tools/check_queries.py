@@ -3,7 +3,7 @@ compare against oracle_sql() with DuckDB (row count, sorted-column
 schema, order-insensitive value hash). Usage:
 
     python tools/check_queries.py [sf_dir] [query ...] [--json out.json]
-                                  [--from-sink]
+                                  [--from-sink] [--sink-dir DIR]
 
 --json writes a machine-readable per-query record (status, rows,
 wall seconds, value hash) so full-catalog sweeps are committed
@@ -17,6 +17,10 @@ gather on the driver (VERDICT r4 item 7). The sink-hash protocol:
 columns sorted by name, integers/booleans cast BIGINT, floats
 round(DOUBLE, 6), timestamps/strings cast VARCHAR, then
 SUM(hash(ROW(...))) — order-insensitive, exact (HUGEINT sum).
+
+--sink-dir: the directory the --from-sink temp sinks are made under
+(default: the driver's temp dir). On a multi-node cluster the write
+tasks run on every node, so point it at a mount every node sees.
 """
 
 from __future__ import annotations
@@ -77,15 +81,16 @@ def _canon_select(con, rel: str) -> tuple[list[str], str]:
     return cols, ", ".join(parts)
 
 
-def sink_compare(con, ds, sql: str) -> tuple[dict, list[str]]:
+def sink_compare(con, ds, sql: str,
+                 sink_dir: str | None = None) -> tuple[dict, list[str]]:
     """Distributed-sink comparison: write the Dataset to parquet (Ray
-    write tasks), then DuckDB computes COUNT(*) and the
-    order-insensitive SUM(hash(ROW(canonical cols))) from the sink
-    files AND from the oracle SQL — the row-scale result never
-    becomes a driver DataFrame. Returns (record, problems)."""
+    write tasks) in a temp dir under ``sink_dir``, then DuckDB computes
+    COUNT(*) and the order-insensitive SUM(hash(ROW(canonical cols)))
+    from the sink files AND from the oracle SQL — the row-scale result
+    never becomes a driver DataFrame. Returns (record, problems)."""
     import shutil
     import tempfile
-    sink = tempfile.mkdtemp(prefix="ves_sinkhash_")
+    sink = tempfile.mkdtemp(prefix="ves_sinkhash_", dir=sink_dir)
     try:
         ds.write_parquet(sink)
         got_rel = f"SELECT * FROM read_parquet('{sink}/*.parquet')"
@@ -118,6 +123,11 @@ def main() -> int:
     from_sink = "--from-sink" in argv
     if from_sink:
         argv.remove("--from-sink")
+    sink_dir = None
+    if "--sink-dir" in argv:
+        i = argv.index("--sink-dir")
+        sink_dir = argv[i + 1]
+        del argv[i:i + 2]
     sf_dir = argv[0] if argv else "/root/testdata/sf0.001"
     only = set(argv[1:])
 
@@ -149,7 +159,7 @@ def main() -> int:
             use_sink = (from_sink and sql is not None
                         and isinstance(raw, _rd.Dataset))
             if use_sink:
-                rec, problems = sink_compare(con, raw, sql)
+                rec, problems = sink_compare(con, raw, sql, sink_dir)
                 dt = time.perf_counter() - t0
                 if problems:
                     print(f"FAIL  {name:22s} " + "; ".join(problems))

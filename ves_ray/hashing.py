@@ -179,10 +179,3 @@ def row_checksums(doc_id_hashes: np.ndarray, token_values: np.ndarray,
     with np.errstate(over="ignore"):
         tok_sum += lengths.astype(U64) * _MIX1
     return hash2(doc_id_hashes, tok_sum)
-
-
-def checksum_partition(row_checksums_: np.ndarray) -> int:
-    """Order-insensitive partition checksum: wrapping sum, masked to 63
-    bits so it stores losslessly in an Arrow/Parquet int64 column."""
-    with np.errstate(over="ignore"):
-        return int(np.sum(row_checksums_.astype(U64), dtype=U64) & U64(MASK63))

@@ -12,6 +12,9 @@ task per read block:
     on_write_complete: listing == returned names, partials
                combined → lineage + per-shard aggregates
     atomic rename .tmp-shard → shard=<id>        # durable data
+    lineage + per-shard aggregates → lineage/shard=<id>/
+    commit record lineage/shard=<id>/fragments.parquet (one file, LAST
+               of the shard's outputs)
     markers  = per-fragment checkpoint records (written LAST)   # T9
     final aggregates = O(shards) merge of per-shard records
 
@@ -53,22 +56,27 @@ These move between Ray releases, so pyproject pins Ray to the tested
 minor release.
 
 Exactly-once story (ADR invariants, checkpoint-store ADR :10-13,27-34):
-- data + lineage become durable via atomic directory renames BEFORE
-  completion markers are written ("persist before in-memory update");
-- a crash before rename leaves only ``.tmp-*`` dirs (deleted on the
-  next run); a crash between rename and markers is recovered by
-  re-deriving markers from the published lineage records —
-  no reprocessing, no duplication, no skips;
+- a shard is committed by ONE file, its member list
+  ``lineage/shard=<id>/fragments.parquet``, written to a temp name and
+  moved into place after the routed dir is published and the lineage
+  and aggregates are written: a rename on local disk, one whole-file
+  put on an object store, so the record is either absent or complete;
+- a shard without its commit record was never written: the next run
+  that has anything pending deletes its routed and lineage dirs, half
+  copied or whole, and reprocesses its fragments (``.tmp-*`` dirs go
+  the same way), and ``compute_aggregates`` reads committed shards
+  only;
+- markers are written after the commit ("persist before in-memory
+  update"); a crash between commit and markers is recovered by
+  re-deriving markers from the committed lineage records — no
+  reprocessing, no duplication, no skips;
 - lineage and aggregates are computed from what was WRITTEN, never
   from side-effect counters: each write task returns the partials of
   the very tables it handed to the Parquet writer, under file names
   fixed by its task index, so a Ray task retry overwrites its own
   files and the last attempt's return is the one counted; the driver
   deletes every file under the shard that no return names before it
-  publishes (SURVEY §4.2 hard part 1);
-- a shard whose data was published but whose lineage was not (a crash
-  between the two renames) is the one case that reads its written
-  files back (``_read_routed``, 5 narrow columns) to rebuild them.
+  publishes (SURVEY §4.2 hard part 1). Nothing is ever read back.
 
 The input/output filesystem guard in ``FlagshipPipeline.__init__``
 compares only the filesystems' ``type_name``: two different stores of
@@ -90,8 +98,7 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
-from ..sources.sequences import (expand_paths, input_bytes, read_blocks,
-                                 read_parquet_sized)
+from ..sources.sequences import expand_paths, read_blocks, read_parquet_sized
 from ..stages.enrich import Enricher, _as_table
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
@@ -103,7 +110,7 @@ from ..state.lineage import add_row_checksum_batch
 
 def _shard_partial(batch: pa.Table) -> pa.Table:
     """Partial for every per-shard statistic at once, over the rows
-    one write task wrote (or one read-back block): grouped by
+    one write task wrote: grouped by
     (fragment, route, source) → events / n_tok_sum / checksum. One row
     per key combination per task, so the collected partials are tiny
     and driver-combinable at any shard size."""
@@ -211,6 +218,7 @@ def _stub_fsspec_http() -> None:
     sys.modules["fsspec.implementations.http"] = mod
 
 
+# unused by the pipeline; kept because perfbench/tracing.py wraps it by name
 def _read_routed(routed_root: str, columns: list[str] | None,
                  filesystem: pafs.FileSystem | None = None,
                  nbytes: int | None = None):
@@ -351,9 +359,7 @@ class FlagshipPipeline:
                  enrich_mode: str = "auto",
                  enrich_concurrency="auto",
                  enrich_num_cpus: float = 0.5,
-                 enrich_batch_size: int = 8_192,
                  salt_k: int = 16, min_rows_per_file: int | None = None,
-                 read_concurrency: int | None = None,
                  stage_metrics: bool = True,
                  split_fragment_rows: int | None = None,
                  filesystem: pafs.FileSystem | None = None):
@@ -410,10 +416,8 @@ class FlagshipPipeline:
                 2, int(cpus // 8 / max(enrich_num_cpus, 0.125)))
         self.enrich_concurrency = enrich_concurrency
         self.enrich_num_cpus = enrich_num_cpus
-        self.enrich_batch_size = enrich_batch_size
         self.hot_salt = hot_route_salts(self.lookup, k=salt_k)
         self.min_rows_per_file = min_rows_per_file
-        self.read_concurrency = read_concurrency
         self.stage_metrics = stage_metrics
         # sub-fragment checkpoint granularity (reference inode→offset
         # analogue): fragments above this row count split into
@@ -463,7 +467,6 @@ class FlagshipPipeline:
             ds = rd.read_parquet([f.path for f in frags],
                                  override_num_blocks=blocks,
                                  include_paths=True,
-                                 concurrency=self.read_concurrency,
                                  filesystem=self.fs)
             return ds, {"bytes": nbytes, "blocks": blocks}
         items = [{"file": p, "rg_start": -1 if a is None else a,
@@ -508,7 +511,7 @@ class FlagshipPipeline:
         ds = ds.map_batches(Enricher,
                             fn_constructor_kwargs=dict(lookup=lookup_ref),
                             batch_format="pyarrow", zero_copy_batch=True,
-                            batch_size=self.enrich_batch_size,
+                            batch_size=8_192,
                             concurrency=self.enrich_concurrency,
                             num_cpus=self.enrich_num_cpus)
         ds = ds.map_batches(make_salter(self.hot_salt),
@@ -562,25 +565,30 @@ class FlagshipPipeline:
             self._kill_shard(sid, [p for p, rec in completed.items()
                                    if rec.get("shard") == sid])
 
+    def _commit_record(self, sid: str) -> str:
+        """The one file whose presence commits shard ``sid``."""
+        return vfs.join(self.lineage_root, f"shard={sid}", "fragments.parquet")
+
     def _recover_markers(self, manifest) -> None:
         """Marker-store recovery (ADR: in-memory state reconstructable
-        from the durable record, :22-24): published lineage dirs record
-        each shard's member fragments and extents. For every published
-        shard: re-mark members whose current extents still match
-        (markers were lost after publish); kill the shard wholesale if
-        any member was rotated since, or its data dir is gone."""
+        from the durable record, :22-24). A shard dir under routed/ or
+        lineage/ without its commit record was never written: delete
+        it. A commit record lists the shard's member fragments and
+        extents: re-mark members whose current extents still match
+        (markers were lost after the commit); kill the shard wholesale
+        if any member was rotated since, or its data dir is gone."""
         completed = self.store.completed()
         cur = {f.path: f for f in manifest}
-        for name in vfs.listdir(self.fs, self.lineage_root):
-            if not name.startswith("shard="):
+        sids = sorted({name.split("=", 1)[1]
+                       for root in (self.routed_root, self.lineage_root)
+                       for name in vfs.listdir(self.fs, root)
+                       if name.startswith("shard=")})
+        for sid in sids:
+            record = self._commit_record(sid)
+            if not vfs.exists(self.fs, record):
+                self._kill_shard(sid, [])
                 continue
-            lin_dir = vfs.join(self.lineage_root, name)
-            sid = name.split("=", 1)[1]
-            frag_file = vfs.join(lin_dir, "fragments.parquet")
-            if not vfs.exists(self.fs, frag_file):
-                continue
-            members = pq.read_table(frag_file,
-                                    filesystem=self.fs).to_pylist()
+            members = pq.read_table(record, filesystem=self.fs).to_pylist()
             data_ok = vfs.is_dir(self.fs,
                                  vfs.join(self.routed_root, f"shard={sid}"))
             intact = data_ok and all(
@@ -592,7 +600,7 @@ class FlagshipPipeline:
                 self._kill_shard(sid, [m["path"] for m in members])
                 continue
             lin = {r["fragment"]: r for r in pq.read_table(
-                vfs.join(lin_dir, "lineage.parquet"),
+                vfs.join(self.lineage_root, f"shard={sid}", "lineage.parquet"),
                 filesystem=self.fs).to_pylist()}
             for m in members:
                 if m["path"] not in completed:
@@ -602,91 +610,60 @@ class FlagshipPipeline:
                         "checksum": rec.get("checksum")})
 
     def _process_shard(self, frags) -> dict:
+        from ..hashing import checksum_version
         from ..state.metrics import operator_stats
         t0 = time.perf_counter()
-        phases = {}
         stages = {}
-        sizing = {"read": None, "stats_read": None}
         sid = _shard_id(frags)
-        shard_dir = vfs.join(self.routed_root, f"shard={sid}")
+        tmp = vfs.join(self.routed_root, f".tmp-{sid}")
         vfs.makedirs(self.fs, self.routed_root)
-        vfs.makedirs(self.fs, self.lineage_root)
-
-        stats = None
-        if not vfs.exists(self.fs, shard_dir):
-            tmp = vfs.join(self.routed_root, f".tmp-{sid}")
-            ds, sizing["read"] = self.build_routed_dataset(frags)
-            # task mode fuses read, transform and write into one task
-            # per read block when every block holds min_rows_per_file
-            # rows. Otherwise (actor mode, which cannot fuse across the
-            # pool, or too few rows for such a block per CPU) the write
-            # bundles rows up to min_rows_per_file, as write_parquet does
-            mr = self.min_rows_per_file
-            fused = self.enrich_mode == "task" and (
-                not mr or sum(f.num_rows for f in frags)
-                >= sizing["read"]["blocks"] * mr)
-            sink = RoutedShardSink(
-                tmp, filesystem=self.fs, min_rows_per_file=mr,
-                bundle_rows=None if fused else mr, **self.WRITE_OPTS)
-            ds.write_datasink(sink)
-            stats = sink.stats
-            if self.stage_metrics:
-                # the executed write Dataset's stats cover read,
-                # transform and encode + write
-                stages["write"] = operator_stats(ds._write_ds)
-            atomic_publish_dir(tmp, shard_dir, self.fs)
-        phases["write_s"] = round(time.perf_counter() - t0, 3)
+        ds, read = self.build_routed_dataset(frags)
+        # task mode fuses read, transform and write into one task per
+        # read block when every block holds min_rows_per_file rows.
+        # Otherwise (actor mode, which cannot fuse across the pool, or
+        # too few rows for such a block per CPU) the write bundles rows
+        # up to min_rows_per_file, as write_parquet does
+        mr = self.min_rows_per_file
+        fused = self.enrich_mode == "task" and (
+            not mr or sum(f.num_rows for f in frags) >= read["blocks"] * mr)
+        sink = RoutedShardSink(
+            tmp, filesystem=self.fs, min_rows_per_file=mr,
+            bundle_rows=None if fused else mr, **self.WRITE_OPTS)
+        ds.write_datasink(sink)
+        stats = sink.stats
+        if self.stage_metrics:
+            # the executed write Dataset's stats cover read, transform
+            # and encode + write
+            stages["write"] = operator_stats(ds._write_ds)
+        atomic_publish_dir(tmp, vfs.join(self.routed_root, f"shard={sid}"),
+                           self.fs)
+        write_s = round(time.perf_counter() - t0, 3)
         # lineage AND per-shard aggregates, stored beside each other:
         # the final aggregate is then an O(shards) metadata merge, with
-        # no O(sink) re-read per run, which keeps resume cheap at scale
+        # no O(sink) re-read per run, which keeps resume cheap at scale.
+        # Stamp the checksum implementation version: stored checksums
+        # are only comparable within the same version
+        # (hashing.checksum_version)
         lin_dir = vfs.join(self.lineage_root, f"shard={sid}")
-        if not vfs.exists(self.fs, lin_dir):
-            if stats is None:
-                # recovery only: the data was published by an earlier
-                # run that crashed before its lineage. Rebuild the stats
-                # from ONE narrow pass over the written shard:
-                # block-local partials, streamed to the driver and
-                # combined there.
-                nbytes = input_bytes(shard_dir, self.fs)
-                sizing["stats_read"] = {"bytes": nbytes,
-                                        "blocks": read_blocks(nbytes)}
-                partials = _read_routed(
-                    shard_dir,
-                    ["fragment", "route", "source", "n_tok", "row_ck"],
-                    filesystem=self.fs, nbytes=nbytes,
-                ).map_batches(_shard_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                stats = _combine_partials(pa.concat_tables(
-                    [_shard_partial(pa.table({}))]
-                    + [t for t in partials.iter_batches(
-                        batch_size=None, batch_format="pyarrow") if len(t)]))
-                if self.stage_metrics:
-                    stages["stats"] = operator_stats(partials)
-            tmp = vfs.join(self.lineage_root, f".tmp-{sid}")
-            vfs.makedirs(self.fs, tmp)
-            # stamp the checksum implementation version: stored
-            # checksums are only comparable within the same version
-            # (hashing.checksum_version) — a future resume with a
-            # mismatched version must treat them as unverifiable
-            from ..hashing import checksum_version
-            stats["lineage"] = stats["lineage"].replace_schema_metadata(
-                {"ck_ver": checksum_version()})
-            for name in ("lineage", "route_counts", "source_hist"):
-                pq.write_table(stats[name], vfs.join(tmp, f"{name}.parquet"),
-                               filesystem=self.fs)
-            # shard membership + extents: the durable record markers
-            # are reconstructed from (ADR :22-24)
-            pq.write_table(pa.table({
-                "path": [f.path for f in frags],
-                "num_rows": [f.num_rows for f in frags],
-                "size_bytes": [f.size_bytes for f in frags],
-            }), vfs.join(tmp, "fragments.parquet"), filesystem=self.fs)
-            atomic_publish_dir(tmp, lin_dir, self.fs)
-        phases["stats_s"] = round(time.perf_counter() - t0 - phases["write_s"], 3)
-        lin_table = pq.read_table(vfs.join(lin_dir, "lineage.parquet"),
-                                  filesystem=self.fs)
+        vfs.makedirs(self.fs, lin_dir)
+        stats["lineage"] = stats["lineage"].replace_schema_metadata(
+            {"ck_ver": checksum_version()})
+        for name, table in stats.items():
+            pq.write_table(table, vfs.join(lin_dir, f"{name}.parquet"),
+                           filesystem=self.fs)
+        # the commit record, LAST and as one file: shard membership +
+        # extents, the durable record markers are reconstructed from
+        # (ADR :22-24)
+        record = self._commit_record(sid)
+        pq.write_table(pa.table({
+            "path": [f.path for f in frags],
+            "num_rows": [f.num_rows for f in frags],
+            "size_bytes": [f.size_bytes for f in frags],
+        }), record + ".tmp", filesystem=self.fs)
+        vfs.move(self.fs, record + ".tmp", record)
+        stats_s = round(time.perf_counter() - t0 - write_s, 3)
         # markers last (ADR write-ordering invariant)
-        by_path = {r["fragment"]: r for r in lin_table.to_pylist()}
+        by_path = {r["fragment"]: r for r in stats["lineage"].to_pylist()}
         for f in frags:
             rec = by_path.get(f.path, {})
             self.store.mark_done(f, extra={
@@ -701,22 +678,23 @@ class FlagshipPipeline:
                "rows": rows, "tokens": tokens, "wall_s": wall,
                "rows_per_s": round(rows / wall, 1) if wall else None,
                "tokens_per_s": round(tokens / wall, 1) if wall else None,
-               **phases, **sizing}
+               "write_s": write_s, "stats_s": stats_s, "read": read}
         if self.stage_metrics:
             out["stages"] = stages
         return out
 
     # -- aggregates from the sink -------------------------------------
     def compute_aggregates(self) -> dict[str, pa.Table]:
-        """Merge the per-shard aggregates (each computed exactly once
-        from its written shard) — an O(shards) driver-side combine,
-        independent of sink size; resumed runs fold in prior shards'
-        records automatically."""
+        """Merge the per-shard aggregates of the committed shards (each
+        computed exactly once from its written shard) — an O(shards)
+        driver-side combine, independent of sink size; resumed runs
+        fold in prior shards' records automatically."""
         import pandas as pd
 
         shard_dirs = [vfs.join(self.lineage_root, n)
                       for n in vfs.listdir(self.fs, self.lineage_root)
-                      if n.startswith("shard=")]
+                      if n.startswith("shard=") and vfs.exists(
+                          self.fs, self._commit_record(n.split("=", 1)[1]))]
         if not shard_dirs:
             empty = pa.table({"route": pa.array([], type=pa.string()),
                               "events": pa.array([], type=pa.int64()),
@@ -839,15 +817,12 @@ class FlagshipPipeline:
             result["source_hist"] = aggs["source_hist"]
         result["wall_s"] = time.perf_counter() - t0_wall
         # T12 self-metrics: Ray Data's per-operator stats of every
-        # executed write (and recovery read-back), summed over shards,
-        # and a host snapshot
+        # executed write, summed over shards, and a host snapshot
         from ..state.metrics import host_snapshot, merge_operator_stats
         if self.stage_metrics:
-            result["stages"] = {
-                phase: merge_operator_stats(recs)
-                for phase in ("write", "stats")
-                if (recs := [s["stages"][phase] for s in shard_stats
-                             if phase in s["stages"]])}
+            recs = [s["stages"]["write"] for s in shard_stats]
+            result["stages"] = ({"write": merge_operator_stats(recs)}
+                                if recs else {})
         result["host"] = host_snapshot()
         vfs.write_text(self.fs, vfs.join(self.out_dir, "metrics.json"),
                        json.dumps({k: v for k, v in result.items()

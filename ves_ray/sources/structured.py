@@ -1,17 +1,16 @@
-"""Structured text sources: JSONL and CSV ingestion with schema
-normalization.
+"""Structured text sources: CSV ingestion with schema normalization.
 
 The reference ingests raw log bytes and defers all framing/typing to
 its (unimplemented) normalization stage
 (components/core-agent/src/tailer/manager.rs:28-30); its dependency
 set declares the structured formats it intended to parse
-(``serde_json`` — components/core-agent/Cargo.toml:29). These readers
-are that normalization stage for files that are ALREADY structured:
+(``serde_json`` — components/core-agent/Cargo.toml:29). This reader
+is that normalization stage for files that are ALREADY structured:
 Ray's native readers do the distributed parse, and a normalization
 ``map_batches`` coerces every block onto one explicit Arrow schema —
 missing columns become typed nulls, extra columns are dropped, and
-type drift (e.g. a JSONL shard where an int column arrived as
-strings) is cast — so schema drift between shards can never poison a
+type drift (e.g. a shard where an int column arrived as strings)
+is cast — so schema drift between shards can never poison a
 downstream union or groupby.
 """
 
@@ -41,12 +40,6 @@ def normalize_to_schema(ds, schema: pa.Schema):
 
     return ds.map_batches(fix, batch_format="pyarrow",
                           zero_copy_batch=True)
-
-
-def read_jsonl(paths, schema: pa.Schema, **read_kwargs):
-    """Distributed JSONL read normalized onto ``schema``."""
-    import ray.data as rd
-    return normalize_to_schema(rd.read_json(paths, **read_kwargs), schema)
 
 
 def read_csv(paths, schema: pa.Schema, **read_kwargs):

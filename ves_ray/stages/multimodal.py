@@ -121,15 +121,3 @@ def decode_media(ds, *, codec: str = "fake", concurrency=2,
                           batch_format="pyarrow",
                           batch_size=batch_size,
                           concurrency=concurrency, num_cpus=num_cpus)
-
-
-def frame_sample_batch(batch: pa.Table, *, every: int = 10) -> pa.Table:
-    """Frame-sampling plumbing for video rows: keep every `every`-th
-    row (deterministic by media_id hash, not row order)."""
-    from ..hashing import U64, hash_strings
-    n = len(batch)
-    if n == 0:
-        return batch
-    h = hash_strings(batch["media_id"], seed=0xF7)
-    keep = (h % U64(every)) == 0
-    return batch.filter(pa.array(keep))

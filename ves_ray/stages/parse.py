@@ -97,18 +97,6 @@ def grok_extract_batch(batch: pa.Table, grok: str, column: str,
 # T2 — timestamp parse / normalize (reference `chrono` dep)
 # ---------------------------------------------------------------------------
 
-def parse_timestamps_batch(batch: pa.Table, column: str = "ts",
-                           fmt: str = "%Y-%m-%dT%H:%M:%S",
-                           out_column: str = "ts_parsed") -> pa.Table:
-    """Parse a string timestamp column to timestamp[us] (UTC-naive)."""
-    col = batch[column]
-    if pa.types.is_timestamp(col.type):
-        parsed = col
-    else:
-        parsed = pc.strptime(col, format=fmt, unit="us", error_is_null=True)
-    return batch.append_column(out_column, parsed)
-
-
 def truncate_to_hour(batch: pa.Table, column: str = "ts",
                      out_column: str = "ts_hour") -> pa.Table:
     """Tumbling-window key: floor timestamp to the hour."""

@@ -655,91 +655,6 @@ def find_hot_keys(ds, key_col: str, *, frac: float = 0.01,
     return set(agg[agg / denom > frac].index)
 
 
-def skew_safe_hash_join(left_ds, right_ds, *, key_col: str,
-                        left_cols: list[str], right_cols: list[str],
-                        how: str = "inner", right_suffix: str = "_r",
-                        num_buckets: int = 64, hot_frac: float = 0.01,
-                        left_types: dict | None = None,
-                        right_types: dict | None = None):
-    """Hash join with automatic hot-key extraction: keys owning more
-    than ``hot_frac`` of the left side would form oversized buckets in
-    the ordinary exchange, so their RIGHT rows are broadcast and their
-    LEFT rows join in a stateless map (no shuffle at all for the hot
-    slice); the cold remainder takes the normal bucket exchange. The
-    two outputs union.
-
-    Assumption to document per call site: each hot key's right-side
-    rows fit a broadcast (true for dimension-style right sides; a
-    right side where the SAME key is also row-hot needs a salted
-    replicate-join instead)."""
-    import ray
-    if how not in ("inner", "left"):
-        raise ValueError(f"unsupported join type: {how}")
-    hot = find_hot_keys(left_ds, key_col, frac=hot_frac)
-    if not hot:
-        return hash_join(left_ds, right_ds, key_col=key_col,
-                         left_cols=left_cols, right_cols=right_cols,
-                         how=how, right_suffix=right_suffix,
-                         num_buckets=num_buckets, left_types=left_types,
-                         right_types=right_types)
-    hot_list = sorted(hot)
-    out_right = [c + right_suffix if (c in left_cols or c == key_col) else c
-                 for c in right_cols]
-
-    def split(want_hot: bool):
-        def fn(b: pa.Table) -> pa.Table:
-            m = pc.is_in(b[key_col], value_set=pa.array(hot_list))
-            return b.filter(m if want_hot else pc.invert(m))
-        return fn
-
-    # broadcast the hot slice of the right side once, as Arrow — the
-    # hot join then uses the SAME pa.Table.join kernel as the cold
-    # bucket path, so hot and cold blocks emit identical schemas
-    # (typed nulls under "left", no pandas promotion) by construction
-    tabs = [t for t in ray.get(
-        right_ds.map_batches(split(True), batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .map_batches(lambda b: b.select([key_col] + right_cols),
-                     batch_format="pyarrow", zero_copy_batch=True)
-        .to_arrow_refs()) if len(t)]
-    if tabs:
-        hot_right = pa.concat_tables(tabs).rename_columns(
-            [key_col] + out_right)
-    else:
-        # a hot LEFT key absent from the right: empty table with the
-        # true right types so "left" still emits typed null columns
-        if right_types is None:
-            s = right_ds.schema()
-            right_types = dict(zip(s.names, s.types))
-        hot_right = pa.table(
-            {name: pa.array([], type=right_types[c])
-             for c, name in zip([key_col] + right_cols,
-                                [key_col] + out_right)})
-    ref = ray.put(hot_right)
-    final_order = [key_col] + left_cols + out_right
-
-    def join_hot(b: pa.Table) -> pa.Table:
-        rhs = ray.get(ref)
-        lhs = b.select([key_col] + left_cols)
-        out = lhs.join(rhs, keys=key_col,
-                       join_type="inner" if how == "inner"
-                       else "left outer")
-        return out.select(final_order).combine_chunks()
-
-    hot_joined = (left_ds.map_batches(split(True), batch_format="pyarrow",
-                                      zero_copy_batch=True)
-                  .map_batches(join_hot, batch_format="pyarrow"))
-    cold_joined = hash_join(
-        left_ds.map_batches(split(False), batch_format="pyarrow",
-                            zero_copy_batch=True),
-        right_ds.map_batches(split(False), batch_format="pyarrow",
-                             zero_copy_batch=True),
-        key_col=key_col, left_cols=left_cols, right_cols=right_cols,
-        how=how, right_suffix=right_suffix, num_buckets=num_buckets,
-        left_types=left_types, right_types=right_types)
-    return hot_joined.union(cold_joined)
-
-
 def grouped_topk(ds, *, key_col: str, order_cols: list[str],
                  ascending: list[bool], k: int, keep_cols: list[str],
                  num_buckets: int = 64, hot_frac: float | None = None,

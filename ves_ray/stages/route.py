@@ -33,20 +33,6 @@ def hot_route_salts(lookup: pa.Table, k: int = DEFAULT_HOT_SALT_K) -> dict[str, 
     return {r: k for r in hot["route"].to_pylist()}
 
 
-def route_salts_from_frequency(ds, k: int = DEFAULT_HOT_SALT_K,
-                               hot_frac: float = 0.2, sample: float = 0.01) -> dict[str, int]:
-    """Scale path: measure route frequencies on a sample and salt any
-    route above `hot_frac` of rows. One cheap pass over a sample, no
-    full shuffle."""
-    counts = (ds.random_sample(sample, seed=SALT_SEED)
-                .groupby("route").count().to_pandas())
-    total = counts["count()"].sum()
-    if total == 0:
-        return {}
-    hot = counts[counts["count()"] / total >= hot_frac]
-    return {r: k for r in hot["route"]}
-
-
 def add_salt_batch(batch: pa.Table, hot_salt: dict[str, int]) -> pa.Table:
     """Vectorized salt assignment: salt = hash64(identity) % k_route
     (0 where k_route == 1).

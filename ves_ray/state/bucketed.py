@@ -278,38 +278,3 @@ def colocated_join(path_l: str, path_r: str, *, left_cols: list[str],
     return rd.from_items(list(range(num_buckets))) \
              .map_batches(join_bucket, batch_format="pyarrow",
                           batch_size=1)
-
-
-def colocated_groupby(path: str, *, agg_cols: dict[str, str],
-                      count_alias: str | None = None,
-                      filesystem: pafs.FileSystem | None = None):
-    """Exact grouped aggregate over a bucketed layout with NO
-    exchange: every key lives in exactly one bucket, so per-bucket
-    groupby results ARE the global results. ``agg_cols`` maps column
-    → Arrow aggregate ("sum", "min", "max", "mean"); ``count_alias``
-    adds a COUNT(*) column. Returns a streaming Dataset with one row
-    per key."""
-    import ray.data as rd
-
-    f, p = vfs.resolve_fs(path, filesystem)
-    man = read_manifest(p, f)
-    key_col = man["key_col"]
-    num_buckets = int(man["num_buckets"])
-    schema = _schema_from_b64(man["schema"])
-    cols = [key_col] + list(agg_cols)
-    aggs = ([([], "count_all")] if count_alias else []) \
-        + [(c, a) for c, a in agg_cols.items()]
-    names = [key_col] + ([count_alias] if count_alias else []) \
-        + list(agg_cols)
-
-    def agg_bucket(batch: pa.Table) -> pa.Table:
-        out = []
-        for k in batch["item"].to_pylist():
-            t = _read_bucket(f, p, k, schema, cols)
-            g = pa.TableGroupBy(t, [key_col]).aggregate(aggs)
-            out.append(g.rename_columns(names))
-        return pa.concat_tables(out).combine_chunks()
-
-    return rd.from_items(list(range(num_buckets))) \
-             .map_batches(agg_bucket, batch_format="pyarrow",
-                          batch_size=1)

@@ -23,9 +23,11 @@ manifest-last (a reader treats a manifest-less directory as
 unpublished), which holds on any store with read-after-write file
 visibility, PROVIDED the store's directory "move" copies the
 manifest file after the data files (single-file moves are one put —
-trivially whole). tests/test_object_store_fs.py proves the protocols
-(markers, bucketed publish, compaction swap, export) against such a
-copy+delete filesystem with crashes injected before / during / after
+trivially whole). The flagship shard is committed by one such
+single-file move, written after its data dir and lineage files.
+tests/test_object_store_fs.py proves the protocols (markers, bucketed
+publish, compaction swap, export, flagship shard commit) against such
+a copy+delete filesystem with crashes injected before / during / after
 the copy.
 """
 
