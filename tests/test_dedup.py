@@ -280,3 +280,17 @@ def test_source_shingle_overlap_counts():
     # s1 ∩ s2 = {a b, b c} → 2; s3 shares nothing
     assert out.to_dict("records") == [
         {"source_a": "s1", "source_b": "s2", "shared_shingles": 2}]
+
+
+def test_fuzzy_dedup_keep_distributed_partition_without_cluster_nodes():
+    """One pair among six docs at 64 buckets: most exchange partitions
+    hold corpus ids but no cluster node, so the left join fills their
+    cluster columns with nulls, and those must keep their types."""
+    import pandas as pd
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(6), pa.int64())}))
+    pairs = pd.DataFrame({"doc_a": [1], "doc_b": [4]})
+    edges = rd.from_arrow(pa.Table.from_pandas(pairs, preserve_index=False))
+    got = (dedup.fuzzy_dedup_keep_distributed(docs, edges, num_buckets=64)
+           .to_pandas().sort_values("doc_id", ignore_index=True))
+    assert list(got["doc_id"]) == [0, 1, 2, 3, 5]
+    assert list(got["cluster_size"]) == [1, 2, 1, 1, 1]

@@ -1,0 +1,171 @@
+"""stages.exchange.bucket_exchange: the same result as a per-bucket
+``map_groups`` for a key-local kernel, one kernel call per partition,
+and no key split across calls. Plus the plan shape of the six
+exchange-bound catalog queries: no schema-probe executions."""
+
+import uuid
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+import ray
+import ray.data as rd
+from ves_ray.stages.exchange import _bucket_of, bucket_exchange, num_partitions
+
+
+def _per_key(t: pa.Table) -> pa.Table:
+    """Key-local kernel: rows and value sum per key, tagged with an id
+    unique to this call."""
+    g = pa.TableGroupBy(t, ["k"]).aggregate([([], "count_all"), ("v", "sum")])
+    g = g.rename_columns(["k", "n", "v"])
+    return g.append_column("call", pa.array([uuid.uuid4().hex] * len(g)))
+
+
+def _dataset(keys: np.ndarray, blocks: int = 8):
+    t = pa.table({"k": pa.array(keys, pa.int64()),
+                  "v": pa.array(np.arange(len(keys)), pa.int64())})
+    step = -(-len(t) // blocks)
+    return rd.from_arrow([t.slice(i, step) for i in range(0, len(t), step)])
+
+
+def _check_same_as_map_groups(ds, num_buckets: int) -> int:
+    """Assert the exchange equals map_groups over the key; return the
+    number of kernel calls the exchange made."""
+    got = (bucket_exchange(ds, "k", _per_key, num_buckets=num_buckets)
+           .to_pandas().sort_values("k", ignore_index=True))
+    exp = (ds.groupby("k").map_groups(_per_key, batch_format="pyarrow")
+           .to_pandas().sort_values("k", ignore_index=True))
+    # one output row per key: no key was split across kernel calls
+    assert got["k"].is_unique
+    assert got[["k", "n", "v"]].equals(exp[["k", "n", "v"]])
+    calls = got["call"].nunique()
+    assert 1 <= calls <= num_partitions(ds, num_buckets)
+    return calls
+
+
+@pytest.mark.parametrize("num_buckets", [1, 3, 64])
+def test_exchange_matches_map_groups(num_buckets):
+    rng = np.random.default_rng(num_buckets)
+    calls = _check_same_as_map_groups(
+        _dataset(rng.integers(0, 500, 6_000)), num_buckets)
+    if num_buckets == 1:
+        assert calls == 1
+
+
+def test_exchange_partition_without_rows():
+    """Every key hashes into the first of four partitions: the other
+    partitions receive no rows and call no kernel."""
+    cand = np.arange(2_000, dtype=np.int64)
+    low = cand[_bucket_of(pa.array(cand), 64) < 16][:40]
+    ds = _dataset(np.repeat(low, 25))
+    assert num_partitions(ds, 64) == 4
+    assert _check_same_as_map_groups(ds, 64) == 1
+
+
+def test_exchange_hot_key():
+    rng = np.random.default_rng(5)
+    keys = np.where(rng.random(8_000) < 0.9, 7, rng.integers(0, 300, 8_000))
+    _check_same_as_map_groups(_dataset(keys), 64)
+
+
+def test_exchange_one_cpu_repartitions(monkeypatch):
+    """With one live CPU there is one partition, made by
+    ``repartition(1)``: an empty ``boundaries`` list would make Ray's
+    sort sample instead."""
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    ds = _dataset(np.random.default_rng(3).integers(0, 200, 3_000))
+    assert num_partitions(ds, 64) == 1
+    plan = bucket_exchange(ds, "k", _per_key)._logical_plan.dag
+    names = []
+    while plan is not None:
+        names.append(type(plan).__name__)
+        plan = plan.input_dependencies[0] if plan.input_dependencies else None
+    assert "Repartition" in names and "Sort" not in names
+    assert _check_same_as_map_groups(ds, 64) == 1
+
+
+def test_exchange_small_blocks_never_split_a_key():
+    """With a 32 KiB target block size the 640 KB input gets one
+    partition per 32 KiB (20, more than the 4 CPUs), and some
+    partitions outgrow one block, since 64 buckets do not split
+    evenly into 20; the sort's reduce still hands each partition to
+    one kernel call, as map_groups relies on too."""
+    ctx = rd.DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 32 * 1024
+    try:
+        keys = np.random.default_rng(9).integers(0, 5_000, 40_000)
+        ds = _dataset(keys, blocks=16)
+        assert num_partitions(ds, 64) == 20
+        assert _check_same_as_map_groups(ds, 64) > 4
+    finally:
+        ctx.target_max_block_size = old
+
+
+def test_exchange_multi_key_and_pandas():
+    """Two keys combine their hashes; a pandas kernel sees whole
+    (a, b) groups and never the bucket column."""
+    rng = np.random.default_rng(11)
+    t = pa.table({"a": rng.integers(0, 20, 4_000),
+                  "b": pa.array([f"s{i}" for i in rng.integers(0, 7, 4_000)]),
+                  "v": np.ones(4_000, dtype=np.int64)})
+
+    def kernel(g):
+        assert list(g.columns) == ["a", "b", "v"]
+        return g.groupby(["a", "b"], as_index=False)["v"].sum()
+
+    got = (bucket_exchange(rd.from_arrow(t), ["a", "b"], kernel,
+                           batch_format="pandas")
+           .to_pandas().sort_values(["a", "b"], ignore_index=True))
+    exp = (t.to_pandas().groupby(["a", "b"], as_index=False)["v"].sum()
+           .sort_values(["a", "b"], ignore_index=True))
+    assert got.equals(exp)
+
+
+EXCHANGE_QUERIES = ["user_sessions", "event_sessions", "dedup_exact",
+                    "dedup_keep", "order_revenue", "region_revenue"]
+
+
+@pytest.mark.parametrize("name", EXCHANGE_QUERIES)
+def test_exchange_queries_run_no_schema_probe(name, sf_dir, monkeypatch):
+    """Each exchange-bound catalog query executes no Limit plan (the
+    shape of a ``Dataset.schema()`` probe on a lazy input), and
+    ``hash_join`` never calls ``Dataset.schema()``."""
+    from ray.data._internal.logical.operators.one_to_one_operator import Limit
+    from ray.data._internal.plan import ExecutionPlan
+
+    from ves_ray.pipelines.queries import QUERIES
+    from ves_ray.stages import relational
+
+    executed = []
+    for attr in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, attr)
+
+        def recording(plan, *a, _orig=orig, **kw):
+            executed.append(plan._logical_plan.dag)
+            return _orig(plan, *a, **kw)
+
+        monkeypatch.setattr(ExecutionPlan, attr, recording)
+
+    join = relational.hash_join
+
+    def join_without_schema(*a, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(rd.Dataset, "schema", lambda *_a, **_k: pytest.fail(
+                "hash_join called Dataset.schema()"))
+            return join(*a, **kw)
+
+    monkeypatch.setattr(relational, "hash_join", join_without_schema)
+
+    def ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from ops(dep)
+
+    out = QUERIES[name](sf_dir)
+    if isinstance(out, rd.Dataset):
+        out = out.to_pandas()
+    assert len(out) > 0
+    assert executed
+    assert not any(isinstance(o, Limit) for d in executed for o in ops(d))

@@ -462,6 +462,54 @@ def test_crash_after_routed_publish_then_reshard(tmp_path, monkeypatch):
     assert int(res["route_counts"].to_pandas()["events"].sum()) == 800
 
 
+def test_crash_after_routed_publish_then_inputs_removed(tmp_path,
+                                                        monkeypatch):
+    """A crash after the routed publish, then every input of that shard
+    is removed: the rerun has nothing pending, and still deletes the
+    uncommitted shard, so routed/ holds no orphan rows."""
+    from ves_ray.pipelines import flagship
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    paths = write_sequences(in_dir, seed=23, n_rows=400, n_files=4)
+    publish = flagship.atomic_publish_dir
+
+    def publish_then_crash(*a, **kw):
+        publish(*a, **kw)
+        raise RuntimeError("crash after the routed publish")
+
+    monkeypatch.setattr(flagship, "atomic_publish_dir", publish_then_crash)
+    with pytest.raises(RuntimeError, match="routed publish"):
+        FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    monkeypatch.undo()
+    assert len(_read_routed_df(out_dir)) == 400
+    for p in paths:
+        os.remove(p)
+    res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    assert res["pending_fragments"] == 0
+    assert int(res["route_counts"].to_pandas()["events"].sum()) == 0
+    assert [n for n in os.listdir(os.path.join(out_dir, "routed"))
+            if n.startswith("shard=")] == []
+
+
+def test_resume_with_intact_markers_looks_up_no_commit_record(
+        tmp_path, monkeypatch):
+    """The uncommitted-shard sweep skips every shard a marker names, so
+    on a resume with intact markers it looks up no commit record."""
+    from ves_ray.pipelines import flagship
+
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    write_sequences(in_dir, seed=29, n_rows=400, n_files=4)
+    FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
+    pipe = FlagshipPipeline(in_dir, make_sources_table(), out_dir)
+    looked_up = []
+    exists = flagship.vfs.exists
+    monkeypatch.setattr(flagship.vfs, "exists", lambda fs, p: (
+        looked_up.append(p), exists(fs, p))[1])
+    pipe._drop_uncommitted(pipe.store.completed())
+    assert [p for p in looked_up if p.endswith("fragments.parquet")] == []
+    assert len(_read_routed_df(out_dir)) == 400
+
+
 def test_generator_input_processes_every_row(tmp_path):
     """A generator input_path is consumed once, by both the
     filesystem probe and the listing: the run sees every fragment."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray.data as rd
 from ves_ray.stages.relational import asof_join, grouped_topk, hash_join
@@ -96,7 +97,9 @@ def test_hash_join_left_null_fill_and_schema():
     got = hash_join(rd.from_arrow(left), rd.from_arrow(right),
                     key_col="k", left_cols=["lv"],
                     right_cols=["rv", "tag"], how="left",
-                    num_buckets=8).to_pandas()
+                    num_buckets=8,
+                    types={"rv": pa.int64(), "tag": pa.string()}
+                    ).to_pandas()
     exp = pd.merge(left.to_pandas(), right.to_pandas(), on="k",
                    how="left")
     assert len(got) == len(exp)
@@ -106,6 +109,27 @@ def test_hash_join_left_null_fill_and_schema():
     g, e = _canon(got).astype(object), _canon(exp).astype(object)
     g, e = g.where(g.notna(), None), e.where(e.notna(), None)
     pd.testing.assert_frame_equal(g, e, check_dtype=False)
+
+
+def test_hash_join_left_types_partitions_without_right_rows():
+    """One right row: every other exchange partition holds left rows
+    only, and still emits the right column with its given type."""
+    left = pa.table({"k": pa.array(range(100), pa.int64()),
+                     "lv": pa.array(range(100), pa.int64())})
+    right = pa.table({"k": pa.array([0], pa.int64()),
+                      "rv": pa.array([1.5])})
+    got = hash_join(rd.from_arrow(left), rd.from_arrow(right), key_col="k",
+                    left_cols=["lv"], right_cols=["rv"], how="left",
+                    num_buckets=64, types={"rv": pa.float64()})
+    blocks = got.map_batches(
+        lambda b: pa.table({"n": [len(b)],
+                            "rv": [str(b.schema.field("rv").type)]}),
+        batch_format="pyarrow", batch_size=None).to_pandas()
+    assert len(blocks) > 1 and blocks["n"].sum() == 100
+    assert set(blocks["rv"]) == {"double"}
+    with pytest.raises(ValueError, match="types="):
+        hash_join(rd.from_arrow(left), rd.from_arrow(right), key_col="k",
+                  left_cols=["lv"], right_cols=["rv"], how="left")
 
 
 def test_hash_join_renames_colliding_right_columns():
@@ -335,8 +359,8 @@ def test_hash_join_semi_anti_full():
     assert sorted(anti["lv"]) == [10, 30, 40]  # NOT EXISTS
 
     full = hash_join(lds, rds, key_col="k", left_cols=["lv"],
-                     right_cols=["rv"], how="full",
-                     num_buckets=4).to_pandas()
+                     right_cols=["rv"], how="full", num_buckets=4,
+                     types={"lv": pa.int64(), "rv": pa.int64()}).to_pandas()
     exp = pd.merge(left.to_pandas(), right.to_pandas(), on="k",
                    how="outer")
     cols = ["k", "lv", "rv"]

@@ -142,8 +142,11 @@ def main() -> int:
 
     con = duckdb.connect()
     for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf_dir}/{t}.parquet')")
+        # a partial table set (e.g. perfbench's query tables) checks the
+        # queries it has the tables for
+        if os.path.exists(f"{sf_dir}/{t}.parquet"):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                        f"read_parquet('{sf_dir}/{t}.parquet')")
 
     qs, oracles = e.queries(), e.oracle_sql()
     failures = 0

@@ -62,8 +62,8 @@ Exactly-once story (ADR invariants, checkpoint-store ADR :10-13,27-34):
   and aggregates are written: a rename on local disk, one whole-file
   put on an object store, so the record is either absent or complete;
 - a shard without its commit record was never written: the next run
-  that has anything pending deletes its routed and lineage dirs, half
-  copied or whole, and reprocesses its fragments (``.tmp-*`` dirs go
+  deletes its routed and lineage dirs, half copied or whole, and
+  reprocesses its fragments if they are still there (``.tmp-*`` dirs go
   the same way), and ``compute_aggregates`` reads committed shards
   only;
 - markers are written after the commit ("persist before in-memory
@@ -525,7 +525,7 @@ class FlagshipPipeline:
         for path in member_paths:
             self.store.remove_marker(path)
 
-    def _drop_removed(self, manifest) -> None:
+    def _drop_removed(self, manifest, completed: dict) -> None:
         """FileRemoved semantics: a checkpointed fragment that is no
         longer present in the input has been deleted — drop its state
         and output, mirroring the reference's Remove(File) →
@@ -535,8 +535,8 @@ class FlagshipPipeline:
         the removed fragment is killed (data + lineage + markers) so
         final aggregates stop counting rows whose input is gone;
         surviving members of that shard become pending again and are
-        reprocessed into a new shard."""
-        completed = self.store.completed()
+        reprocessed into a new shard. ``completed`` is the marker
+        store's ``completed()``."""
         cur = {f.path for f in manifest}
         removed = [p for p in completed if p not in cur]
         if not removed:
@@ -569,25 +569,39 @@ class FlagshipPipeline:
         """The one file whose presence commits shard ``sid``."""
         return vfs.join(self.lineage_root, f"shard={sid}", "fragments.parquet")
 
-    def _recover_markers(self, manifest) -> None:
-        """Marker-store recovery (ADR: in-memory state reconstructable
-        from the durable record, :22-24). A shard dir under routed/ or
-        lineage/ without its commit record was never written: delete
-        it. A commit record lists the shard's member fragments and
-        extents: re-mark members whose current extents still match
-        (markers were lost after the commit); kill the shard wholesale
-        if any member was rotated since, or its data dir is gone."""
-        completed = self.store.completed()
-        cur = {f.path: f for f in manifest}
-        sids = sorted({name.split("=", 1)[1]
+    def _shard_ids(self) -> list[str]:
+        return sorted({name.split("=", 1)[1]
                        for root in (self.routed_root, self.lineage_root)
                        for name in vfs.listdir(self.fs, root)
                        if name.startswith("shard=")})
-        for sid in sids:
-            record = self._commit_record(sid)
-            if not vfs.exists(self.fs, record):
+
+    def _drop_uncommitted(self, completed: dict) -> None:
+        """A shard dir under routed/ or lineage/ without its commit
+        record was never written: delete it. Runs on every run, pending
+        or not, so a shard that crashed before its commit and whose
+        inputs were then removed leaves no rows in routed/ that no
+        marker points at. A shard some marker in ``completed`` names
+        was committed (markers follow the commit), so the cost on a
+        happy-path resume is the two dir listings only; a commit record
+        is looked up for unmarked shards alone."""
+        marked = {rec.get("shard") for rec in completed.values()}
+        for sid in self._shard_ids():
+            if (sid not in marked
+                    and not vfs.exists(self.fs, self._commit_record(sid))):
                 self._kill_shard(sid, [])
-                continue
+
+    def _recover_markers(self, manifest) -> None:
+        """Marker-store recovery (ADR: in-memory state reconstructable
+        from the durable record, :22-24). Every shard dir left has its
+        commit record (``_drop_uncommitted`` ran first), which lists the
+        shard's member fragments and extents: re-mark members whose
+        current extents still match (markers were lost after the
+        commit); kill the shard wholesale if any member was rotated
+        since, or its data dir is gone."""
+        completed = self.store.completed()
+        cur = {f.path: f for f in manifest}
+        for sid in self._shard_ids():
+            record = self._commit_record(sid)
             members = pq.read_table(record, filesystem=self.fs).to_pylist()
             data_ok = vfs.is_dir(self.fs,
                                  vfs.join(self.routed_root, f"shard={sid}"))
@@ -749,13 +763,16 @@ class FlagshipPipeline:
         t0_wall = time.perf_counter()
         clean_stale_tmp(self.routed_root, self.fs)
         clean_stale_tmp(self.lineage_root, self.fs)
+        completed = self.store.completed()
+        self._drop_uncommitted(completed)   # removes no marker
         manifest = self._manifest()
-        self._drop_removed(manifest)   # FileRemoved: must run even when
-        pending = self.store.pending(manifest)  # nothing looks pending
+        # FileRemoved: must run even when nothing looks pending
+        self._drop_removed(manifest, completed)
+        pending = self.store.pending(manifest)
         if pending:
-            # remaining recovery paths only engage when something looks
-            # pending: with intact markers this block is skipped, so the
-            # happy-path resume never scans O(shards) lineage dirs
+            # marker recovery and rotation only engage when something
+            # looks pending: with intact markers the happy-path resume
+            # never reads a commit record or lineage file
             self._recover_markers(manifest)
             pending = self.store.pending(manifest)
             self._invalidate_rotated(pending)

@@ -307,15 +307,10 @@ def q_users_approx_distinct(sf_dir: str):
 def q_user_running_value(sf_dir: str):
     """Cumulative window (SUM OVER ... ROWS UNBOUNDED PRECEDING): per
     user, running total of value cents in (ts, event_id) order. Same
-    bucket shape as sessionize — one exchange, one vectorized
-    multi-user cumsum per bucket."""
-    from ..stages.window import _bucket_of
+    exchange shape as sessionize — one ``bucket_exchange``, one
+    vectorized multi-user cumsum per partition."""
+    from ..stages.exchange import bucket_exchange
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        b = b.append_column("rbucket",
-                            pa.array(_bucket_of(b["user_id"], 64)))
-        return b.append_column("value_cents", _cents(b["value"]))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -326,10 +321,11 @@ def q_user_running_value(sf_dir: str):
             "event_id": g["event_id"].to_numpy(),
             "running_cents": run.to_numpy().astype(np.int64)})
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("rbucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    cents = ds.map_batches(
+        lambda b: b.append_column("value_cents", _cents(b["value"])),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(cents, "user_id", per_bucket,
+                           batch_format="pandas")
 
 
 SQL_USER_RUNNING_VALUE = """
@@ -1872,14 +1868,7 @@ def q_region_revenue(sf_dir: str):
                                          zero_copy_batch=True),
                           key_col="o_orderkey", left_cols=["r_name"],
                           right_cols=["revenue_u"], how="inner",
-                          right_agg={"revenue_u": "sum"},
-                          # with_region's lineage holds the first join's
-                          # exchange: pass its (known) types so schema()
-                          # doesn't execute it a second time
-                          left_types={"o_orderkey": pa.int64(),
-                                      "r_name": pa.string()},
-                          right_types={"o_orderkey": pa.int64(),
-                                       "revenue_u": pa.int64()})
+                          right_agg={"revenue_u": "sum"})
     out = agg.grouped_counts(per_order, ["r_name"], sum_col="revenue_u")
     return out.rename_columns({"events": "orders",
                                "n_tok_sum": "revenue_u"})

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
+
+from .exchange import bucket_exchange
 
 
 def _partial_counts(keys: list[str], sum_col: str | None):
@@ -70,21 +72,16 @@ def pivot_counts(ds, *, key_col: str, col_col: str, values: list[str],
     """Long→wide pivot: one row per key, one ``n_<value>`` count column
     per (fixed, known) value of ``col_col``. Two-phase like every
     aggregate here: block-local partial counts shrink the exchange to
-    O(keys × values), then a bucket ``map_groups`` reshapes each
-    co-located key's ≤len(values) rows with one vectorized
-    ``pivot_table`` per BUCKET (never per key). An unbounded/unknown
+    O(keys × values × blocks), then one ``bucket_exchange`` on the key
+    sums and reshapes each partition's partials with one vectorized
+    ``pivot_table`` (never one call per key). An unbounded/unknown
     column domain needs the exploded long form instead (see
     source_histogram) — pivot output width must be static."""
     import numpy as np
     import pandas as pd
 
-    from .window import _bucket_of
-    longf = grouped_counts(ds, [key_col, col_col])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "pbucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
+    partial = ds.map_batches(_partial_counts([key_col, col_col], None),
+                             batch_format="pyarrow", zero_copy_batch=True)
     out_cols = [f"n_{v}" for v in values]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -94,10 +91,8 @@ def pivot_counts(ds, *, key_col: str, col_col: str, values: list[str],
         w.columns = out_cols
         return w.reset_index()
 
-    bucketed = longf.map_batches(add_bucket, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    return bucketed.groupby("pbucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(partial, key_col, per_bucket,
+                           num_buckets=num_buckets, batch_format="pandas")
 
 
 def topk(ds, keys: list[str], k: int = 10, by: str = "events"):

@@ -41,14 +41,13 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     (deterministic winner) plus dup_count.
 
     Shape: block-local partial aggregation (per-hash min(id) + count
-    inside ``map_batches``) followed by a ``groupby`` over partials —
-    NOT a per-group ``map_groups``: on a mostly-unique corpus nearly
-    every group is a singleton and per-group Python call overhead
-    dominates (the same reasoning as :func:`minhash_lsh_candidates`'s
-    collision filter). The shuffle key is the 63-bit hash — uniformly
-    distributed, no skew mitigation needed. Returns
+    inside ``map_batches``) followed by one ``bucket_exchange`` over
+    the partials whose kernel is one Arrow groupby per partition —
+    never a Python call per group: on a mostly-unique corpus nearly
+    every group is a singleton. The shuffle key is the 63-bit hash —
+    uniformly distributed, no skew mitigation needed. Returns
     (content_hash, <id_col>, dup_count)."""
-    from ray.data.aggregate import Min, Sum
+    from .exchange import bucket_exchange
 
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
@@ -61,9 +60,12 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
 
     partials = hashed.map_batches(partial, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    return partials.groupby("content_hash").aggregate(
-        Min(id_col, alias_name=id_col),
-        Sum("dup_count", alias_name="dup_count"))
+
+    def merge(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, ["content_hash"]).aggregate(
+            [(id_col, "min"), ("dup_count", "sum")])
+        return g.rename_columns(["content_hash", id_col, "dup_count"])
+    return bucket_exchange(partials, "content_hash", merge)
 
 
 def exact_dedup_keep(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -79,25 +81,18 @@ def exact_dedup_keep(ds, *, text_col: str = "text", id_col: str = "doc_id",
     no skew handling."""
     import pandas as pd
 
-    from .window import _bucket_of
+    from .exchange import bucket_exchange
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "dbucket", pa.array(_bucket_of(b["content_hash"], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["content_hash", id_col], kind="mergesort")
         out = g.drop_duplicates("content_hash", keep="first")
-        return out.drop(columns=["content_hash", "dbucket"],
-                        errors="ignore")
+        return out.drop(columns=["content_hash"])
 
-    bucketed = hashed.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    return bucketed.groupby("dbucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(hashed, "content_hash", per_bucket,
+                           num_buckets=num_buckets, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -809,15 +804,19 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
 
     Labels are monotonically non-increasing, so a fixpoint is detected
     by an order-insensitive checksum aggregate (no extra join). Every
-    per-bucket kernel is a vectorized pandas pass over MANY nodes —
-    O(buckets) group invocations, never O(nodes).
+    exchange kernel is a vectorized pandas pass over MANY nodes — one
+    call per exchange partition, never O(nodes).
 
     ``edges``: Dataset or DataFrame of pairs. Returns a Dataset of
     (node, root), one row per node appearing in any pair — the same
     contract as the driver union-find."""
     import ray.data as rd
 
-    from .window import _bucket_of
+    from .exchange import bucket_exchange
+
+    def exchange(ds, key, kernel):
+        return bucket_exchange(ds, key, kernel, num_buckets=num_buckets,
+                               batch_format="pandas")
 
     if isinstance(edges, pd.DataFrame):
         if len(edges) == 0:
@@ -843,26 +842,17 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
                             zero_copy_batch=True)
 
     # -- initial labels: min(node, min neighbor), one keyed exchange --
-    def key_by_node(b: pa.Table) -> pa.Table:
-        return b.append_column("bkey",
-                               pa.array(_bucket_of(b["node"], num_buckets)))
-
     def init_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("node", as_index=False)["nbr"].min()
         lab = np.minimum(m["nbr"].to_numpy(), m["node"].to_numpy())
         return pd.DataFrame({"node": m["node"].to_numpy(), "label": lab})
 
-    labels = (adj.map_batches(key_by_node, batch_format="pyarrow",
-                              zero_copy_batch=True)
-              .groupby("bkey").map_groups(init_bucket,
-                                          batch_format="pandas")
-              .materialize())
+    labels = exchange(adj, "node", init_bucket).materialize()
 
-    # propagate probe side, built once: (bkey=h(nbr), side=0,
-    # key=nbr, val=node) — "what is my neighbor's label?"
+    # propagate probe side, built once: (side=0, key=nbr, val=node) —
+    # "what is my neighbor's label?"
     def probe_rows(b: pa.Table) -> pa.Table:
         return pa.table({
-            "bkey": pa.array(_bucket_of(b["nbr"], num_buckets)),
             "side": pa.array(np.zeros(len(b), dtype=np.int8)),
             "key": b["nbr"], "val": b["node"]})
 
@@ -871,7 +861,6 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
 
     def label_rows(b: pa.Table) -> pa.Table:
         return pa.table({
-            "bkey": pa.array(_bucket_of(b["node"], num_buckets)),
             "side": pa.array(np.ones(len(b), dtype=np.int8)),
             "key": b["node"], "val": b["label"]})
 
@@ -884,10 +873,8 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
                                 lab["key"].to_numpy()))
         labs = np.concatenate((cand, lab["val"].to_numpy()))
         out = pd.DataFrame({"node": nodes, "label": labs})
-        # block-local partial min before the per-node exchange
-        out = out.groupby("node", as_index=False)["label"].min()
-        out["bkey"] = _bucket_of(pa.array(out["node"]), num_buckets)
-        return out
+        # partition-local partial min before the per-node exchange
+        return out.groupby("node", as_index=False)["label"].min()
 
     def min_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("node", as_index=False)["label"].min()
@@ -896,7 +883,6 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
     # keyed by node (carrying label) — label' = label(label)
     def jump_query_rows(b: pa.Table) -> pa.Table:
         return pa.table({
-            "bkey": pa.array(_bucket_of(b["label"], num_buckets)),
             "side": pa.array(np.zeros(len(b), dtype=np.int8)),
             "key": b["label"], "val": b["node"]})
 
@@ -912,7 +898,7 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
         return pd.DataFrame({"node": q["val"].to_numpy(), "label": l2})
 
     def checksum(ds) -> tuple[int, int]:
-        from .relational import _key_hash
+        from .exchange import _key_hash
 
         def part(b: pa.Table) -> pa.Table:
             with np.errstate(over="ignore"):
@@ -933,20 +919,15 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
     for _ in range(max_rounds):
         lab_side = labels.map_batches(label_rows, batch_format="pyarrow",
                                       zero_copy_batch=True)
-        labels = (probes.union(lab_side)
-                  .groupby("bkey").map_groups(propagate_bucket,
-                                              batch_format="pandas")
-                  .groupby("bkey").map_groups(min_bucket,
-                                              batch_format="pandas")
-                  .materialize())   # consumed twice by the jump step
+        labels = exchange(
+            exchange([probes, lab_side], "key", propagate_bucket),
+            "node", min_bucket).materialize()  # read twice by the jump
         qside = labels.map_batches(jump_query_rows, batch_format="pyarrow",
                                    zero_copy_batch=True)
         iside = labels.map_batches(label_rows, batch_format="pyarrow",
                                    zero_copy_batch=True)
-        labels = (qside.union(iside)
-                  .groupby("bkey").map_groups(jump_bucket,
-                                              batch_format="pandas")
-                  .materialize())
+        labels = exchange([qside, iside], "key",
+                          jump_bucket).materialize()
         cur = checksum(labels)
         if cur == prev:
             break
@@ -962,18 +943,14 @@ def fuzzy_dedup_keep_distributed(ds, edges, *, id_col: str = "doc_id",
     :func:`fuzzy_dedup_keep` but with NO driver-side or broadcast
     state — the path for pair graphs at corpus scale. Components come
     from :func:`connected_components_distributed`; the loser/size
-    table is derived in one bucketed pass (a component's nodes share a
-    root, hence a bucket, so cluster sizes are a per-bucket groupby
-    transform); survivors come from ONE shuffle left-join of the
+    table is derived in one exchange on the root (a component's nodes
+    share a root, hence a partition, so cluster sizes are a
+    per-partition groupby transform); survivors come from ONE shuffle left-join of the
     corpus ids against that table. Returns (id_col, cluster_size)."""
+    from .exchange import bucket_exchange
     from .relational import hash_join
-    from .window import _bucket_of
 
     cc = connected_components_distributed(edges, num_buckets=num_buckets)
-
-    def key_by_root(b: pa.Table) -> pa.Table:
-        return b.append_column("bkey",
-                               pa.array(_bucket_of(b["root"], num_buckets)))
 
     def node_info(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby("root")["node"].transform("size")
@@ -982,21 +959,16 @@ def fuzzy_dedup_keep_distributed(ds, edges, *, id_col: str = "doc_id",
             "is_root": (g["node"] == g["root"]).to_numpy().astype(bool),
             "cluster_size": sizes.to_numpy().astype(np.int64)})
 
-    info = (cc.map_batches(key_by_root, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bkey").map_groups(node_info, batch_format="pandas"))
+    info = bucket_exchange(cc, "root", node_info, num_buckets=num_buckets,
+                           batch_format="pandas")
 
     ids = ds.map_batches(lambda b: b.select([id_col]),
                          batch_format="pyarrow", zero_copy_batch=True)
-    s = ds.schema()
-    id_type = dict(zip(s.names, s.types))[id_col]
     joined = hash_join(ids, info, key_col=id_col, left_cols=[],
                        right_cols=["is_root", "cluster_size"], how="left",
                        num_buckets=num_buckets,
-                       left_types={id_col: id_type},
-                       right_types={id_col: id_type,
-                                    "is_root": pa.bool_(),
-                                    "cluster_size": pa.int64()})
+                       types={"is_root": pa.bool_(),
+                              "cluster_size": pa.int64()})
 
     def keep(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1146,10 +1118,10 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
 
     Shape: block-local distinct (source, shingle-hash) pairs (one
     vectorized shingle pass, same strict semantics as the n-gram
-    Jaccard oracle), ONE exchange keyed by shingle-hash bucket, then a
-    per-bucket run-length pair scan (sources per shingle are sorted,
+    Jaccard oracle), ONE ``bucket_exchange`` keyed by shingle hash, then
+    a per-partition run-length pair scan (sources per shingle are sorted,
     so each unordered pair is emitted exactly once) folding into
-    per-bucket partial counts; the final aggregate is
+    per-partition partial counts; the final aggregate is
     sources²-scale. The exchange moves distinct-(source, shingle)
     rows — the exact-intersection floor; the approximate alternative
     at extreme scale is per-source HLL sketches with
@@ -1158,6 +1130,8 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Sum
+
+    from .exchange import bucket_exchange
 
     def local_distinct(b: pa.Table) -> pa.Table:
         sh, off = _strict_shingle_hashes(b[text_col], shingle_n, 0x50C)
@@ -1169,11 +1143,7 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
             block_col: pc.take(src, pa.array(
                 np.repeat(np.arange(len(b), dtype=np.int64), lens))),
             "sh": pa.array(sh.astype(np.int64))})
-        g = pa.TableGroupBy(t, [block_col, "sh"]).aggregate([])
-        return g.append_column(
-            "obucket", pa.array(
-                (g["sh"].to_numpy(zero_copy_only=False)
-                 % num_buckets).astype(np.int64)))
+        return pa.TableGroupBy(t, [block_col, "sh"]).aggregate([])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates([block_col, "sh"])
@@ -1205,7 +1175,8 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
 
     distinct = ds.select_columns([block_col, text_col]).map_batches(
         local_distinct, batch_format="pyarrow", zero_copy_batch=True)
-    partials = distinct.groupby("obucket").map_groups(
-        per_bucket, batch_format="pandas")
+    partials = bucket_exchange(distinct, "sh", per_bucket,
+                               num_buckets=num_buckets,
+                               batch_format="pandas")
     return partials.groupby(["source_a", "source_b"]).aggregate(
         Sum("shared_shingles", alias_name="shared_shingles"))

@@ -1,0 +1,132 @@
+"""The bucket exchange: the one shuffle of every key-partitioned
+operator in the package.
+
+``bucket_exchange(ds, keys, kernel)`` hashes ``keys`` into
+``num_buckets`` buckets, range-partitions the buckets over one
+partition per live CPU (more for inputs larger than a block per CPU)
+with a sort on the bucket column whose boundaries are fixed (no
+sampling stage), and calls ``kernel`` once
+per partition on all of that partition's rows. Each key's rows land in
+exactly one partition, so a KEY-LOCAL kernel, one that groups or sorts
+by the real key inside and is therefore correct on any union of
+buckets, composes to the global result.
+
+Why not ``groupby(bucket).map_groups``: it samples sort boundaries in
+an extra stage and calls the kernel once per bucket, so a 64-bucket
+exchange paid 64 Python calls and a sampling pass for data that fits a
+handful of blocks. Fewer, larger UDF calls are the point of vectorized
+UDF execution ("Accelerating Python UDFs in Vectorized Query
+Execution", CIDR 2022). Why not Ray's native ``groupby().aggregate``:
+its sort-based plan is an order of magnitude slower here than partial
+aggregation plus this exchange (ROADMAP, "Measured at this
+re-anchor"). Kernels that need exactly one group per call (they read
+the group's key off its first row) stay on ``map_groups``; NOTES.md
+lists them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+
+from ..hashing import hash2, hash_strings, splitmix64
+
+_BUCKET = "__bucket"
+
+
+def _key_hash(col) -> np.ndarray:
+    """64-bit hash of one key column: integers by value, every other
+    type through polars' hash kernel."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type):
+        return splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
+    return hash_strings(col, seed=0xB0)
+
+
+def _bucket_of(col, num_buckets: int) -> np.ndarray:
+    """Bucket of each value of one key column. ``state.bucketed``
+    persists layouts by this function; change it only with its
+    ``_HASH_VER``."""
+    return (_key_hash(col) % np.uint64(num_buckets)).astype(np.int32)
+
+
+def buckets_of(table: pa.Table, keys: list[str], num_buckets: int) -> np.ndarray:
+    """Bucket of each row of ``table`` over one or more key columns."""
+    if len(keys) == 1:
+        return _bucket_of(table[keys[0]], num_buckets)
+    h = _key_hash(table[keys[0]])
+    for k in keys[1:]:
+        h = hash2(h, _key_hash(table[k]))
+    return (h % np.uint64(num_buckets)).astype(np.int32)
+
+
+def _source_bytes(ds) -> int:
+    """In-memory size of the sources in ``ds``'s lineage: the estimate
+    each read (or in-memory input) reports from its metadata, summed.
+    Nothing executes. An upper bound on the input of a later stage,
+    since filters and projections only shrink it."""
+    return sum(op.infer_metadata().size_bytes or 0
+               for op in ds._logical_plan.dag.post_order_iter()
+               if not op.input_dependencies)
+
+
+def num_partitions(ds, num_buckets: int) -> int:
+    """One partition per live CPU, raised to the block count the read
+    sizing rule (``read_blocks``) gives the input's source bytes, so no
+    partition outgrows ``DataContext.target_max_block_size`` by more
+    than a key's skew; capped at ``num_buckets``. ``ds`` is one Dataset
+    or a list of them."""
+    from ..sources.sequences import read_blocks
+    nbytes = sum(_source_bytes(d)
+                 for d in (ds if isinstance(ds, list) else [ds]))
+    return max(1, min(num_buckets, read_blocks(nbytes)))
+
+
+def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
+                    batch_format: str = "pyarrow"):
+    """Co-locate every key's rows and run ``kernel`` once per partition.
+
+    ``ds`` is one Dataset or a list of Datasets with the same columns
+    (the sides of a join); each gets its bucket column in its own last
+    map, which Ray fuses into the map before it, and only then are they
+    unioned. ``keys`` is one column name or a list (their hashes
+    combine).
+
+    ``kernel`` takes one batch in ``batch_format`` ("pyarrow" or
+    "pandas") holding whole keys, never the bucket column, and returns
+    a batch; it is not called for a partition that receives no rows.
+    The partition count is :func:`num_partitions`: an input larger
+    than ``CPUs × target_max_block_size`` gets more partitions than
+    CPUs, up to ``num_buckets``; beyond ``num_buckets ×
+    target_max_block_size`` a partition grows past one block, so such
+    inputs need a larger ``num_buckets``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    p = num_partitions(ds, num_buckets)
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column(_BUCKET,
+                               pa.array(buckets_of(b, keys, num_buckets)))
+
+    sides = [d.map_batches(add_bucket, batch_format="pyarrow",
+                           zero_copy_batch=True)
+             for d in (ds if isinstance(ds, list) else [ds])]
+    bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    if p == 1:
+        # an empty ``boundaries`` list means "sample" to Ray's sort
+        shuffled = bucketed.repartition(1)
+    else:
+        shuffled = bucketed.sort(
+            _BUCKET, boundaries=[i * num_buckets // p for i in range(1, p)])
+
+    def exchange_kernel(batch):
+        if len(batch):
+            yield kernel(batch.drop_columns([_BUCKET])
+                         if isinstance(batch, pa.Table)
+                         else batch.drop(columns=[_BUCKET]))
+
+    # batch_size=None: one call per sort output block, which is one
+    # whole partition (the sort's reduce merges it into one block)
+    return shuffled.map_batches(exchange_kernel, batch_size=None,
+                                batch_format=batch_format,
+                                zero_copy_batch=batch_format == "pyarrow")

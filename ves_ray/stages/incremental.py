@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 
 from .dedup import content_hash_batch
-from .window import _bucket_of
+from .exchange import _bucket_of
 from ..state import fs as vfs
 from ..state.bucketed import read_manifest, write_bucketed
 

@@ -1,14 +1,15 @@
-"""Relational operators Ray Data lacks natively: as-of join and
-grouped top-k (window rank).
+"""Relational operators Ray Data lacks natively: the shuffle hash
+join, as-of join and grouped top-k (window rank).
 
-Both follow the same scale shape as sessionization (stages.window):
-hash-bucket the key so the one shuffle co-locates a BOUNDED bucket of
-keys per ``map_groups`` call, then run a vectorized kernel (pandas
-merge_asof / sort + groupby-head) inside the group — O(buckets) group
-invocations, never O(keys), and never an all-pairs or driver-side
-pass. Partitioning assumption: one key's rows fit one group (true for
-per-user event streams; a pathologically hot key needs pre-splitting
-by time range, which composes with the same bucket column).
+All follow the same scale shape as sessionization (stages.window):
+one ``stages.exchange.bucket_exchange`` co-locates each key's rows,
+one partition per live CPU or per input block, then a vectorized
+kernel (Acero hash join, pandas merge_asof, sort + groupby-head) runs
+once per partition — never once per key or per bucket, and never an
+all-pairs or driver-side pass. Partitioning assumption: one key's rows fit one
+partition (true for per-user event streams; a pathologically hot key
+needs pre-splitting, by time range for the as-of join and by salt for
+top-k).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyarrow import fs as pafs
 
-from .window import _bucket_of
+from .exchange import _bucket_of, _key_hash, bucket_exchange
 
 
 def _rm_spill(f: pafs.FileSystem, path: str) -> None:
@@ -42,9 +43,9 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     null right columns.
 
     Both sides are projected onto one common schema (side tag + union
-    of payload columns, nulls where absent) so a single union +
-    bucket groupby co-locates each key's rows; inside a bucket the
-    match is one ``pd.merge_asof`` (C kernel) over the sorted frames.
+    of payload columns, nulls where absent) so a single union + bucket
+    exchange co-locates each key's rows; inside a partition the match
+    is one ``pd.merge_asof`` (C kernel) over the sorted frames.
 
     Skew: with ``hot_frac`` set, keys owning more than that share of
     left rows are pre-split BY TIME RANGE (``hot_ranges`` uniform
@@ -77,16 +78,15 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     r_types = dict(zip(r_schema.names, r_schema.types))
 
     # one fixed column order for BOTH sides (union needs identical
-    # schemas): bucket, side, key, ts, left payload, right payload
-    order = (["abucket", "side", key_col, ts_col] + left_cols
+    # schemas): side, key, ts, left payload, right payload
+    order = (["side", key_col, ts_col] + left_cols
              + [c + right_suffix for c in right_cols])
 
     def project(side: int, cols: list[str], other: list[str],
                 other_types: dict):
         def fn(b: pa.Table) -> pa.Table:
             n = len(b)
-            out = {"abucket": pa.array(_bucket_of(b[key_col], num_buckets)),
-                   "side": pa.array(np.full(n, side, dtype=np.int8)),
+            out = {"side": pa.array(np.full(n, side, dtype=np.int8)),
                    key_col: b[key_col], ts_col: b[ts_col]}
             for c in cols:
                 out[c if side == 0 else c + right_suffix] = b[c]
@@ -101,7 +101,6 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     right_p = right_ds.map_batches(project(1, right_cols, left_cols, l_types),
                                    batch_format="pyarrow",
                                    zero_copy_batch=True)
-    both = left_p.union(right_p)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lcols = [key_col, ts_col] + left_cols
@@ -112,8 +111,8 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
                                                          kind="mergesort")
         return pd.merge_asof(left, right, on=ts_col, by=key_col,
                              direction="backward")
-    return both.groupby("abucket").map_groups(per_bucket,
-                                              batch_format="pandas")
+    return bucket_exchange([left_p, right_p], key_col, per_bucket,
+                           num_buckets=num_buckets, batch_format="pandas")
 
 
 def _ts_i8(values: np.ndarray) -> np.ndarray:
@@ -427,16 +426,6 @@ def interval_overlap_join(ds, intervals: pa.Table, *, value_col: str,
                           zero_copy_batch=True)
 
 
-def _key_hash(col) -> np.ndarray:
-    from ..hashing import hash_strings, splitmix64
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        return splitmix64(col.to_numpy(zero_copy_only=False)
-                          .astype(np.uint64))
-    return hash_strings(col, seed=0xB1)
-
-
 def build_key_bloom(ds, key_col: str, *, num_bits: int = 1 << 23,
                     num_hashes: int = 4) -> np.ndarray:
     """Bloom filter (uint8 bitmap) of a key column, built distributed:
@@ -496,32 +485,43 @@ def hash_join(left_ds, right_ds, *, key_col: str, left_cols: list[str],
               right_cols: list[str], how: str = "inner",
               right_suffix: str = "_r", num_buckets: int = 64,
               bloom_prefilter: bool = False, bloom_bits: int = 1 << 23,
-              right_agg: dict | None = None,
-              left_types: dict | None = None,
-              right_types: dict | None = None):
+              right_agg: dict | None = None, types: dict | None = None):
     """Hash-partitioned equi-join of two LARGE datasets (neither side
     broadcast — the repartition/shuffle join the broadcast-lookup
     enrich stage (stages.enrich) cannot replace once both sides
     exceed worker memory).
 
     Physical plan: both sides are projected onto one tagged common
-    schema (hash-bucket of the key, side flag, key, union of payload
-    columns with typed nulls for the absent side), unioned, and
-    co-located with a single ``groupby(bucket)`` exchange; inside each
-    bucket one ``pd.merge`` (C hash-join kernel) joins the two sides.
-    Exactly one all-to-all for both inputs; no row-scale driver data.
+    schema (side flag, key, union of payload columns with nulls for
+    the absent side), unioned, and co-located with one
+    ``bucket_exchange``; inside each partition one ``pa.Table.join``
+    (Acero hash join) joins the two sides. Exactly one all-to-all for
+    both inputs, no row-scale driver data, and no ``schema()`` call:
+    the exchange's concat gives each null placeholder its side's type
+    wherever that side has rows in the partition.
 
-    Partitioning assumptions (document per call site): ``num_buckets``
-    must scale so one bucket (≈ both sides / num_buckets) fits a
-    worker's heap; a pathologically hot KEY needs hot-key extraction
+    ``types`` maps output columns to their Arrow types. A partition
+    without rows of one side cannot learn that side's types, so a
+    left join must give the types of the right payload columns and a
+    full join those of both sides' payload columns; with them every
+    output block is typed. Other join types need none: a partition
+    missing a side emits no rows, and columns not in ``types`` may be
+    null-typed in such an empty block.
+
+    Partitioning assumptions (document per call site): one partition
+    (≈ both sides / partitions; see ``bucket_exchange``, which keeps
+    it near ``target_max_block_size`` for inputs up to ``num_buckets``
+    blocks) must fit a worker's heap, so a larger input needs a larger
+    ``num_buckets``; a pathologically hot KEY needs hot-key extraction
     (broadcast the hot keys' small side, shuffle-join the cold rest),
     which composes with this operator. ``how`` is "inner", "left",
     "full" (full outer), "semi" (EXISTS: left rows with a match, no
     right payload) or "anti" (NOT EXISTS: left rows without a match)
     — the shuffle forms of the broadcast EXISTS/anti patterns in
     pipelines.queries, for when the right side outgrows a broadcast.
-    Every key's rows land in exactly one bucket, so each per-bucket
-    join composes to the global result for all five types.
+    Every key's rows land in exactly one partition, so each
+    per-partition join composes to the global result for all five
+    types.
     """
     _JOIN_TYPES = {"inner": "inner", "left": "left outer",
                    "full": "full outer", "semi": "left semi",
@@ -540,49 +540,36 @@ def hash_join(left_ds, right_ds, *, key_col: str, left_cols: list[str],
             raise ValueError("bloom_prefilter requires how='inner'/'semi'")
         bloom = build_key_bloom(right_ds, key_col, num_bits=bloom_bits)
         left_ds = bloom_filter_keys(left_ds, bloom, key_col)
-    # Dataset.schema() on a lazy input whose lineage contains an
-    # all-to-all EXECUTES that lineage — and the union below then
-    # executes it AGAIN. Callers chaining joins should pass the known
-    # column types explicitly to keep the upstream single-execution.
-    if left_types is None:
-        s = left_ds.schema()
-        left_types = dict(zip(s.names, s.types))
-    if right_types is None:
-        s = right_ds.schema()
-        right_types = dict(zip(s.names, s.types))
-    l_types, r_types = dict(left_types), dict(right_types)
     out_right = [c + right_suffix if (c in left_cols or c == key_col) else c
                  for c in right_cols]
-    order = ["jbucket", "side", key_col] + left_cols + out_right
+    types = dict(types or {})
+    untyped = [c for c in ((out_right if how in ("left", "full") else [])
+                           + (left_cols if how == "full" else []))
+               if c not in types]
+    if untyped:
+        raise ValueError(f"how={how!r} needs types= for {untyped}: a "
+                         "partition without that side's rows fills them "
+                         "with nulls")
+    order = ["side", key_col] + left_cols + out_right
 
-    def project(side: int, cols: list[str], out_names: list[str],
-                other_names: list[str], other_types: dict):
+    def project(side: int, cols: list[str], out_names: list[str]):
         def fn(b: pa.Table) -> pa.Table:
             n = len(b)
-            out = {"jbucket": pa.array(_bucket_of(b[key_col], num_buckets)),
-                   "side": pa.array(np.full(n, side, dtype=np.int8)),
+            out = {"side": pa.array(np.full(n, side, dtype=np.int8)),
                    key_col: b[key_col]}
             for c, name in zip(cols, out_names):
                 out[name] = b[c]
-            for name, t in zip(other_names, other_types):
-                out[name] = pa.nulls(n, type=t)
-            return pa.table({name: out[name] for name in order})
+            return pa.table({name: out.get(name,
+                                           pa.nulls(n, types.get(name)))
+                             for name in order})
         return fn
 
-    left_p = left_ds.map_batches(
-        project(0, left_cols, left_cols, out_right,
-                [r_types[c] for c in right_cols]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    right_p = right_ds.map_batches(
-        project(1, right_cols, out_right, left_cols,
-                [l_types[c] for c in left_cols]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    both = left_p.union(right_p)
+    left_p = left_ds.map_batches(project(0, left_cols, left_cols),
+                                 batch_format="pyarrow", zero_copy_batch=True)
+    right_p = right_ds.map_batches(project(1, right_cols, out_right),
+                                   batch_format="pyarrow",
+                                   zero_copy_batch=True)
 
-    # Arrow-native per-bucket kernel: pa.Table.join (Acero hash join)
-    # replaces the former pandas merge — no pandas round-trip, no
-    # float promotion of typed nulls, identical schema from every
-    # bucket by construction (a left-outer join emits typed nulls).
     # Semantics note vs pandas merge: NULL keys never match (SQL
     # semantics); the projected key column comes from real input rows.
     agg_out = {(c + right_suffix if (c in left_cols or c == key_col)
@@ -591,37 +578,43 @@ def hash_join(left_ds, right_ds, *, key_col: str, left_cols: list[str],
     final_order = ([key_col] + left_cols
                    + ([] if how in ("semi", "anti") else out_right))
 
-    exp_types = {key_col: l_types[key_col]}
-    exp_types.update({c: l_types[c] for c in left_cols})
-    exp_types.update({oc: r_types[c]
-                      for c, oc in zip(right_cols, out_right)})
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # Empty upstream blocks (e.g. from a pandas map_groups stage)
-        # carry null-typed columns; Acero rejects null join fields, so
-        # restore the declared types before joining.
-        for i, name in enumerate(g.column_names):
-            t = exp_types.get(name)
-            if t is not None and pa.types.is_null(g.column(i).type):
-                g = g.set_column(i, name, pa.nulls(len(g), type=t))
+    def per_partition(g: pa.Table) -> pa.Table:
+        # A column still null-typed here came only from the side that
+        # lacks it (or from empty upstream blocks), so it holds nulls
+        # only. Acero rejects null-typed fields: join typed nulls, of
+        # the column's type in ``types`` or else an int8 stand-in, and
+        # put the untyped nulls back for a stand-in afterwards (the
+        # output is then empty; see ``types``).
+        stand_in = []
+        for i, f in enumerate(g.schema):
+            if pa.types.is_null(f.type):
+                if f.name not in types:
+                    stand_in.append(f.name)
+                g = g.set_column(i, f.name, pa.nulls(
+                    len(g), type=types.get(f.name, pa.int8())))
         side = g["side"]
         left = g.filter(pc.equal(side, 0)).select([key_col] + left_cols)
         right = g.filter(pc.equal(side, 1)).select([key_col] + out_right)
         if agg_out:
-            # join-aggregate fusion: the bucket exchange already
-            # co-locates each key's rows, so a groupby-aggregate that
-            # would otherwise need its OWN all-to-all (e.g. collapsing
+            # join-aggregate fusion: the exchange already co-locates
+            # each key's rows, so a groupby-aggregate that would
+            # otherwise need its OWN all-to-all (e.g. collapsing
             # per-block partials keyed near-uniquely) folds into one
             # vectorized Arrow groupby here — one exchange total
             # instead of two over the big side.
             gb = pa.TableGroupBy(right, [key_col]).aggregate(
                 list(agg_out.items()))
             right = gb.rename_columns([key_col] + list(agg_out))
-        joined = left.join(right, keys=key_col, join_type=join_type)
-        return joined.select(final_order).combine_chunks()
+        joined = left.join(right, keys=key_col,
+                           join_type=join_type).select(final_order)
+        for c in stand_in:
+            if c in final_order and c not in agg_out:
+                joined = joined.set_column(final_order.index(c), c,
+                                           pa.nulls(len(joined)))
+        return joined.combine_chunks()
 
-    return both.groupby("jbucket").map_groups(per_bucket,
-                                              batch_format="pyarrow")
+    return bucket_exchange([left_p, right_p], key_col, per_partition,
+                           num_buckets=num_buckets)
 
 
 def find_hot_keys(ds, key_col: str, *, frac: float = 0.01,
@@ -661,36 +654,37 @@ def grouped_topk(ds, *, key_col: str, order_cols: list[str],
                  hot_salt: int = 16):
     """Top-k rows per key by sort order (the window-rank primitive:
     ROW_NUMBER() OVER (PARTITION BY key ORDER BY ...) <= k), with an
-    explicit ``rk`` column. One bucket shuffle; per bucket a single
-    sort + vectorized per-key head.
+    explicit ``rk`` column. One ``bucket_exchange``; per partition a
+    single sort + vectorized per-key head.
 
     Skew: with ``hot_frac`` set, keys owning more than that share of
     rows are pre-split — their rows salt across ``hot_salt``
-    sub-partitions, each computes a LOCAL top-k, and a second (tiny:
-    k × hot_salt rows per hot key) exchange merges the partials into
-    the exact global top-k. Top-k is a semilattice merge, so the
-    result is identical to the unsplit path; no single group ever
-    holds a hot key's full row set."""
+    sub-keys, an exchange on (key, salt) computes LOCAL top-k
+    partials, and a second (tiny: k × hot_salt rows per hot key)
+    exchange merges the partials into the exact global top-k. Top-k is
+    a semilattice merge, so the result is identical to the unsplit
+    path; no single partition ever holds a hot key's full row set."""
     sort_cols = [key_col] + order_cols
     sort_asc = [True] + list(ascending)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("abucket",
-                               pa.array(_bucket_of(b[key_col], num_buckets)))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(sort_cols, ascending=sort_asc, kind="mergesort")
         rk = g.groupby(key_col, sort=False).cumcount() + 1
-        out = g.loc[rk <= k, [key_col] + keep_cols].copy()
-        out["rk"] = rk[rk <= k].astype(np.int64)
+        return g.loc[rk <= k], rk[rk <= k]
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        top, rk = local_topk(g)
+        out = top[[key_col] + keep_cols].copy()
+        out["rk"] = rk.astype(np.int64)
         return out
+
+    def exchange(part, keys, kernel):
+        return bucket_exchange(part, keys, kernel, num_buckets=num_buckets,
+                               batch_format="pandas")
 
     hot = find_hot_keys(ds, key_col, frac=hot_frac) if hot_frac else set()
     if not hot:
-        bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        return bucketed.groupby("abucket").map_groups(per_bucket,
-                                                      batch_format="pandas")
+        return exchange(ds, key_col, per_bucket)
 
     hot_list = pa.array(sorted(hot))
     payload = list(dict.fromkeys([key_col] + order_cols + keep_cols))
@@ -701,35 +695,17 @@ def grouped_topk(ds, *, key_col: str, order_cols: list[str],
             return b.filter(m if want_hot else pc.invert(m))
         return fn
 
-    cold = ds.map_batches(split(False), batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .map_batches(add_bucket, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("abucket").map_groups(per_bucket, batch_format="pandas")
-
-    def add_salted_bucket(b: pa.Table) -> pa.Table:
-        # sub-partition hot keys: any deterministic spread works (the
+    def salted(b: pa.Table) -> pa.Table:
+        # sub-key the hot rows: any deterministic spread works (the
         # local-then-merge top-k is partition-invariant)
-        h = _bucket_of(b[key_col], 1 << 30).astype(np.int64)
-        salt = np.arange(len(b), dtype=np.int64) % hot_salt
-        return b.select(payload).append_column(
-            "abucket",
-            pa.array(((h + salt * 0x9E3D) % num_buckets).astype(np.int32)))
+        b = split(True)(b).select(payload)
+        return b.append_column("_salt", pa.array(
+            np.arange(len(b), dtype=np.int64) % hot_salt))
 
-    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, ascending=sort_asc, kind="mergesort")
-        rk = g.groupby(key_col, sort=False).cumcount() + 1
-        return g.loc[rk <= k, payload]
-
-    hot_partials = (ds.map_batches(split(True), batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                    .map_batches(add_salted_bucket, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                    .groupby("abucket").map_groups(local_topk,
-                                                   batch_format="pandas"))
-    hot_final = (hot_partials.map_batches(add_bucket,
-                                          batch_format="pyarrow",
-                                          zero_copy_batch=True)
-                 .groupby("abucket").map_groups(per_bucket,
-                                                batch_format="pandas"))
-    return cold.union(hot_final)
+    cold = exchange(ds.map_batches(split(False), batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    key_col, per_bucket)
+    hot_partials = exchange(
+        ds.map_batches(salted, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "_salt"], lambda g: local_topk(g)[0][payload])
+    return cold.union(exchange(hot_partials, key_col, per_bucket))

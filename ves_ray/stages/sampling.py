@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
+from .exchange import bucket_exchange
 
 
 def stratified_sample(ds, rate_units: dict[str, int], *,
@@ -220,9 +221,9 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
     3. Rows whose sub-range already starts past the budget are
        dropped BEFORE the exchange (broadcast offset table), so the
        single all-to-all carries only ~budget-scale candidates.
-    4. Each (stratum, range) group lands in one hash bucket; one
-       vectorized pandas scan per bucket (sort + grouped cumsum +
-       offset) emits rows with global running total ≤ budget.
+    4. One ``bucket_exchange`` on (stratum, range); one vectorized
+       pandas scan per partition (sort + grouped cumsum + offset)
+       emits rows with global running total ≤ budget.
 
     Rows keep ``id, strata, weight`` plus ``cum_col`` (the global
     running total in selection order). A single row heavier than the
@@ -267,12 +268,7 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
 
     def prune(b: pd.DataFrame) -> pd.DataFrame:
         off = ray.get(off_ref)
-        out = b.merge(off, on=[strata_col, "rbucket"], how="inner")
-        h = splitmix64(
-            out["rbucket"].to_numpy(dtype=np.int64).astype(np.uint64)
-            ^ hash_strings(out[strata_col], seed=0xB1D))
-        out["bbucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
-        return out
+        return b.merge(off, on=[strata_col, "rbucket"], how="inner")
 
     cands = keyed.map_batches(prune, batch_format="pandas")
 
@@ -290,7 +286,8 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
             weight_col: pd.Series([], dtype=g[weight_col].dtype),
             cum_col: pd.Series([], dtype="int64")})
 
-    return cands.groupby("bbucket").map_groups(per_bucket)
+    return bucket_exchange(cands, [strata_col, "rbucket"], per_bucket,
+                           num_buckets=num_buckets, batch_format="pandas")
 
 
 def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,

@@ -25,12 +25,12 @@ probe shape every other dedup stage here uses):
    block emits ``(gram, doc_id, pos)`` for DUPLICATED windows only
    (exact gram strings, so a 64-bit collision can never merge two
    distinct grams: the per-gram regroup below works on the string).
-3. per-gram resolution — occurrences are hash-bucketed by gram and
-   each bucket resolved with one vectorized pandas scan (never one
+3. per-gram resolution — one ``bucket_exchange`` on the gram, each
+   partition resolved with one vectorized pandas scan (never one
    group per gram: almost every gram is a 2-occurrence group and
-   per-group overhead would dominate). Removals then hash-bucket by
-   ``doc_id`` against the corpus (tagged union, one exchange) and
-   each bucket rebuilds its documents with a vectorized
+   per-group overhead would dominate). Removals then meet the corpus
+   in one ``bucket_exchange`` on ``doc_id`` (tagged union) and each
+   partition rebuilds its documents with a vectorized
    interval-coverage scan (np.add.at delta array + cumsum).
 """
 
@@ -42,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
+from .exchange import bucket_exchange
 
 DEFAULT_SEED = 0x5EED5
 
@@ -106,8 +107,8 @@ def dup_span_hash_set(ds, *, k: int = 8, text_col: str = "text",
 
 def span_occurrences(ds, dup_hashes: np.ndarray, *, k: int = 8,
                      text_col: str = "text", id_col: str = "doc_id",
-                     seed: int = DEFAULT_SEED, num_buckets: int = 64):
-    """``(gbucket, gram, doc_id, pos)`` for every occurrence of a
+                     seed: int = DEFAULT_SEED):
+    """``(gram, doc_id, pos)`` for every occurrence of a
     duplicated window (1-based pos, matching SQL ``range(1, …)``).
     One stateless broadcast-probe pass; only duplicated windows ride
     the output."""
@@ -131,17 +132,13 @@ def span_occurrences(ds, dup_hashes: np.ndarray, *, k: int = 8,
                - np.repeat(w_off[:-1], np.diff(w_off)) + 1)
         if len(hidx) == 0:
             return pa.table({
-                "gbucket": pa.array([], type=pa.int64()),
                 "gram": pa.array([], type=pa.string()),
                 id_col: pa.array([], type=ids.type),
                 "pos": pa.array([], type=pa.int64())})
         start = w_start[hidx]
         parts = [flat.take(pa.array(start + j)) for j in range(k)]
         gram = pc.binary_join_element_wise(*parts, " ")
-        gb = (hash_strings(gram, seed=seed ^ 0xB0C4)
-              % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({
-            "gbucket": pa.array(gb),
             "gram": gram,
             id_col: ids.take(pa.array(rows[hidx])),
             "pos": pa.array(pos[hidx])})
@@ -167,8 +164,7 @@ def dup_spans(ds, *, k: int = 8, text_col: str = "text",
     if len(dup) == 0:
         return empty
     occ = span_occurrences(ds, dup, k=k, text_col=text_col,
-                           id_col=id_col, seed=seed,
-                           num_buckets=num_buckets)
+                           id_col=id_col, seed=seed)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
@@ -181,8 +177,8 @@ def dup_spans(ds, *, k: int = 8, text_col: str = "text",
         # the exact-string filter drops it here.
         return out[out["occurrences"] >= 2]
 
-    res = (occ.groupby("gbucket").map_groups(per_bucket)
-              .to_pandas())
+    res = bucket_exchange(occ, "gram", per_bucket, num_buckets=num_buckets,
+                          batch_format="pandas").to_pandas()
     if len(res) == 0:
         return empty
     return res.sort_values("gram", ignore_index=True)
@@ -216,8 +212,7 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
                                 zero_copy_batch=True)
 
     occ = span_occurrences(ds, dup, k=k, text_col=text_col,
-                           id_col=id_col, seed=seed,
-                           num_buckets=num_buckets)
+                           id_col=id_col, seed=seed)
 
     def removals_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
@@ -228,45 +223,31 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
             id_col: pd.Series([], dtype=g[id_col].dtype),
             "pos": pd.Series([], dtype="int64")})
 
-    removals = occ.groupby("gbucket").map_groups(removals_bucket)
+    removals = bucket_exchange(occ, "gram", removals_bucket,
+                               num_buckets=num_buckets,
+                               batch_format="pandas")
 
     # tagged union → one exchange on hash(doc_id) → per-bucket rebuild
     def tag_docs(b: pa.Table) -> pa.Table:
-        ids = b[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        db = (splitmix64(ids.to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({
-            "dbucket": pa.array(db),
-            id_col: ids,
+            id_col: b[id_col],
             text_col: b[text_col],
             "pos": pa.nulls(len(b), type=pa.int64())})
 
     def tag_removals(b: pa.Table) -> pa.Table:
-        ids = b[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
         if len(b) == 0 or "pos" not in b.column_names:
             return pa.table({
-                "dbucket": pa.array([], type=pa.int64()),
                 id_col: pa.array([], type=pa.int64()),
                 text_col: pa.array([], type=pa.string()),
                 "pos": pa.array([], type=pa.int64())})
-        db = (splitmix64(ids.to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({
-            "dbucket": pa.array(db),
-            id_col: ids,
+            id_col: b[id_col],
             text_col: pa.nulls(len(b), type=pa.string()),
             "pos": b["pos"]})
 
-    tagged = (docs.map_batches(tag_docs, batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .union(removals.map_batches(tag_removals,
-                                          batch_format="pyarrow")))
+    tagged = [docs.map_batches(tag_docs, batch_format="pyarrow",
+                               zero_copy_batch=True),
+              removals.map_batches(tag_removals, batch_format="pyarrow")]
 
     def rebuild(g: pa.Table) -> pa.Table:
         is_doc = pc.is_valid(g[text_col])
@@ -305,5 +286,4 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
                 np.bincount(rows[covered], minlength=ndocs)
                 .astype(np.int64))})
 
-    return tagged.groupby("dbucket").map_groups(rebuild,
-                                                batch_format="pyarrow")
+    return bucket_exchange(tagged, id_col, rebuild, num_buckets=num_buckets)

@@ -530,8 +530,8 @@ def inverted_index(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     Shape: per-block DISTINCT (term, doc) pairs (dictionary-encode the
     flat word array, unique the (row, code) pairs — within-doc repeats
-    never leave the block), then ONE term-hash bucket exchange; inside
-    each bucket a whole-bucket vectorized pass (sort_by, boundary
+    never leave the block), then ONE ``bucket_exchange`` on the term;
+    inside each partition one vectorized pass (sort_by, boundary
     scan, ListArray offsets, pc.binary_join) builds every posting
     string with zero per-term Python.
 
@@ -539,13 +539,8 @@ def inverted_index(ds, *, text_col: str = "text", id_col: str = "doc_id",
     ``max_df`` drops ultra-common terms whose posting strings would be
     corpus-sized single rows (a stopword's postings at web scale is
     billions of ids — always cap max_df there; both bounds are exact
-    because a term lives wholly in one bucket)."""
-    from .window import _bucket_of
-
-    def pairs(b: pa.Table) -> pa.Table:
-        t = _distinct_term_doc_pairs(b, text_col, id_col)
-        return t.append_column(
-            "wbucket", pa.array(_bucket_of(t["word"], num_buckets)))
+    because a term lives wholly in one partition)."""
+    from .exchange import bucket_exchange
 
     def per_bucket(g: pa.Table) -> pa.Table:
         g = g.sort_by([("word", "ascending"), (id_col, "ascending")])
@@ -579,9 +574,10 @@ def inverted_index(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return t.filter(pa.array(mask))
 
     paired = ds.select_columns([id_col, text_col]).map_batches(
-        pairs, batch_format="pyarrow", zero_copy_batch=True)
-    return paired.groupby("wbucket").map_groups(per_bucket,
-                                                batch_format="pyarrow")
+        lambda b: _distinct_term_doc_pairs(b, text_col, id_col),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(paired, "word", per_bucket,
+                           num_buckets=num_buckets)
 
 
 def term_search(ds, terms: list[str], *, k: int = 20,

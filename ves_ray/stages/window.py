@@ -5,12 +5,12 @@ The reference snapshot has no window semantics (SURVEY §2 checklist:
 log pipeline grows next: tumbling windows (see
 stages.parse.truncate_to_hour) and gap-based sessionization.
 
-Sessionization is a per-key ordered scan. Keys (users) are pre-hashed
-into ``num_buckets`` buckets so the shuffle co-locates a BUCKET of
-users per ``map_groups`` call — O(buckets) group invocations instead
-of O(users) — and the scan inside each call is a single vectorized
-multi-user pass (key-change flags fused with gap flags), never a
-per-user Python loop.
+Sessionization is a per-key ordered scan. Every operator here is one
+``stages.exchange.bucket_exchange``: keys (users) hash into
+``num_buckets`` buckets, the buckets range-partition over the live
+CPUs (or the input's blocks, if more), and the scan runs once per
+partition as a single vectorized multi-user pass (key-change flags
+fused with gap flags), never a per-user Python loop.
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..hashing import hash_strings, splitmix64
-
-
-def _bucket_of(col, num_buckets: int) -> np.ndarray:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        h = splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
-    else:
-        h = hash_strings(col, seed=0xB0)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+from .exchange import bucket_exchange
 
 
 def _sessionize_bucket(key_col: str, ts_col: str, order_col: str, gap_s: int):
@@ -75,20 +65,13 @@ def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     session_id numbers sessions 1..N per key in time order; a new
     session starts when the gap to the previous event exceeds
-    ``gap_s`` seconds. ``num_buckets`` bounds map_groups invocations;
-    results are independent of the bucket count (each user's rows land
-    in exactly one bucket).
+    ``gap_s`` seconds. Results are independent of ``num_buckets``:
+    each user's rows land in exactly one exchange partition.
     """
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "skey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return (bucketed.groupby("skey_bucket")
-                    .map_groups(_sessionize_bucket(key_col, ts_col,
-                                                   order_col, gap_s),
-                                batch_format="pandas"))
+    return bucket_exchange(ds, key_col,
+                           _sessionize_bucket(key_col, ts_col, order_col,
+                                              gap_s),
+                           num_buckets=num_buckets, batch_format="pandas")
 
 
 def assign_sessions(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -105,10 +88,6 @@ def assign_sessions(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     rows land in exactly one bucket, so numbering is exact. Returns
     (order_col, key_col, session_id)."""
     import pandas as pd
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "skey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
@@ -128,10 +107,8 @@ def assign_sessions(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             key_col: keys,
             "session_id": session_id.astype(np.int64)})
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("skey_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
+                           batch_format="pandas")
 
 
 def rolling_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -147,10 +124,6 @@ def rolling_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     multi-key pass per bucket: global cumsum, per-row window start
     clamped to the key-run start, rolling sum = cs[i] - cs[lo-1].
     Exact integers end-to-end; no per-key Python loop."""
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "wkey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         keys = g[key_col].to_numpy()
@@ -168,10 +141,8 @@ def rolling_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             order_col: g[order_col].to_numpy(),
             "rolling_cents": roll.astype(np.int64)})
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("wkey_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
+                           batch_format="pandas")
 
 
 def funnel_stages(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -187,10 +158,6 @@ def funnel_stages(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     One bucket exchange; per bucket the scan is len(stages) masked
     groupby-min passes over the whole bucket (C-speed), never a
     per-key loop."""
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "fkey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keys = g[key_col].to_numpy()
         ts_us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -213,10 +180,8 @@ def funnel_stages(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return pd.DataFrame({key_col: uniq,
                              "funnel_stage": reached.to_numpy()})
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("fkey_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
+                           batch_format="pandas")
 
 
 def event_gaps(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -226,10 +191,6 @@ def event_gaps(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     emit nothing (no gaps). Same bucket shape as sessionize: one
     shuffle, one vectorized multi-key pass per bucket, integer
     microseconds so a SQL lag-window oracle matches exactly."""
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "gkey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         keys = g[key_col].to_numpy()
@@ -249,10 +210,8 @@ def event_gaps(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             ["n_gaps", "max_gap_us", "sum_gap_us"]].astype(np.int64)
         return out
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("gkey_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
+                           batch_format="pandas")
 
 
 def arrival_lateness(ds, *, key_col: str = "event_type",
@@ -271,10 +230,6 @@ def arrival_lateness(ds, *, key_col: str = "event_type",
     single vectorized multi-key scan (grouped cummax + grouped shift,
     both C-speed) and a bucket-local final aggregate — every key lives
     in exactly one bucket, so bucket aggregates are globally exact."""
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "lkey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, order_col], kind="mergesort",
                           ignore_index=True)
@@ -296,10 +251,8 @@ def arrival_lateness(ds, *, key_col: str = "event_type",
         agg["n_events"] = agg["n_events"].astype(np.int64)
         return agg
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.groupby("lkey_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
+                           batch_format="pandas")
 
 
 def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -325,10 +278,7 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         if isinstance(h, pa.ChunkedArray):
             h = h.combine_chunks()
         t = pa.table({key_col: b[key_col], "ts_hour": h})
-        g = pa.TableGroupBy(t, [key_col, "ts_hour"]).aggregate([])
-        out = g.append_column(
-            "rbucket", pa.array(_bucket_of(g[key_col], num_buckets)))
-        return out
+        return pa.TableGroupBy(t, [key_col, "ts_hour"]).aggregate([])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # block-local distinct is not global: the same (key, hour) can
@@ -349,11 +299,10 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         out = df.groupby("ts_hour", as_index=False).sum()
         return out
 
-    parts = (ds.select_columns([key_col, ts_col])
-               .map_batches(pairs, batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .groupby("rbucket").map_groups(per_bucket,
-                                              batch_format="pandas"))
+    parts = bucket_exchange(
+        ds.select_columns([key_col, ts_col]).map_batches(
+            pairs, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, per_bucket, num_buckets=num_buckets, batch_format="pandas")
     final = (parts.groupby("ts_hour")
                   .aggregate(Sum("active", alias_name="n_active"),
                              Sum("retained", alias_name="n_retained"))
@@ -384,10 +333,6 @@ def session_type_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     from ray.data.aggregate import Sum
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "skey_bucket", pa.array(_bucket_of(b[key_col], num_buckets)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         keys = g[key_col].to_numpy()
@@ -408,10 +353,8 @@ def session_type_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return out.rename(columns={f"{type_col}_a": "type_a",
                                    f"{type_col}_b": "type_b"})
 
-    parts = (ds.select_columns([key_col, ts_col, order_col, type_col])
-               .map_batches(add_bucket, batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .groupby("skey_bucket")
-               .map_groups(per_bucket, batch_format="pandas"))
+    parts = bucket_exchange(
+        ds.select_columns([key_col, ts_col, order_col, type_col]), key_col,
+        per_bucket, num_buckets=num_buckets, batch_format="pandas")
     return parts.groupby(["type_a", "type_b"]).aggregate(
         Sum("n_sessions", alias_name="n_sessions"))

@@ -16,7 +16,7 @@ A ``_bucketed.json`` manifest (written LAST — readers treat a
 manifest-less directory as unpublished) records key, bucket count,
 hash version and the Arrow schema; co-located ops validate both
 sides' manifests are compatible before running. The bucket hash is
-``stages.window._bucket_of`` — the SAME function the in-memory
+``stages.exchange._bucket_of`` — the SAME function the in-memory
 exchanges use, so persisted layouts and live shuffles agree on key
 placement.
 
@@ -48,7 +48,7 @@ from pyarrow import fs as pafs
 
 from . import fs as vfs
 
-_HASH_VER = 1          # bump if stages.window._bucket_of ever changes
+_HASH_VER = 1          # bump if stages.exchange._bucket_of ever changes
 _MANIFEST = "_bucketed.json"
 
 
@@ -156,7 +156,7 @@ def write_bucketed(ds, path: str, *, key_col: str,
     write task splits its own blocks across bucket directories.
     Returns the manifest (also published to ``path/_bucketed.json``,
     after the data — manifest-last atomic publish)."""
-    from ..stages.window import _bucket_of
+    from ..stages.exchange import _bucket_of
 
     def add_bucket(b: pa.Table) -> pa.Table:
         return b.append_column(
