@@ -334,7 +334,9 @@ def test_stage_metrics_emitted(tmp_path):
     stats off."""
     import json
 
-    from ves_ray.sources.sequences import read_blocks
+    import ray
+    from ves_ray.sources.sequences import (block_bytes, read_blocks,
+                                           source_bytes)
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     paths = write_sequences(in_dir, seed=53, n_rows=200, n_files=4)
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
@@ -346,9 +348,19 @@ def test_stage_metrics_emitted(tmp_path):
     assert w["tasks"] == 4 and w["udf_s"] > 0 and w["wall_s"] > 0
     shard, = res["shards"]
     nbytes = sum(os.path.getsize(f) for f in paths)
-    assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
+    blocks = read_blocks(nbytes)
+    # 4 files, 4 blocks: 4 read tasks share Ray's in-memory estimate
+    est = source_bytes(rd.read_parquet(sorted(paths), include_paths=True,
+                                       override_num_blocks=blocks))
+    read = {"bytes": nbytes, "blocks": blocks,
+            "block_bytes": block_bytes(est, 4)}
+    assert shard["read"] == read
+    assert 0 < read["block_bytes"] < rd.DataContext.get_current() \
+        .target_max_block_size
     assert "stats_read" not in shard
     assert res["host"]["affinity_cpus"] >= 1 and res["host"]["ray_cpus"] == 4
+    assert res["host"]["object_store_mb"] == round(
+        ray.cluster_resources()["object_store_memory"] / 2**20) > 0
     with open(os.path.join(out_dir, "metrics.json")) as f:
         m = json.load(f)
     assert m["stages"] == json.loads(json.dumps(res["stages"]))
@@ -362,13 +374,29 @@ def test_stage_metrics_emitted(tmp_path):
     assert set(res["stages"]) == {"write"}
     assert list(res["stages"]["write"]) == [name]
     shard, = res["shards"]
-    assert shard["read"] == {"bytes": nbytes, "blocks": read_blocks(nbytes)}
+    assert shard["read"] == read
     assert "stats_read" not in shard
 
     res = FlagshipPipeline(in_dir, make_sources_table(), str(tmp_path / "o2"),
                            stage_metrics=False).run()
     assert "stages" not in res and "stages" not in res["shards"][0]
     assert res["rows"] == 200
+
+
+def test_run_leaves_session_block_size_unchanged(tmp_path):
+    """A shard hands Ray Data its block size through its own Dataset's
+    context. A write to the session's DataContext would shrink every
+    later read_blocks count and exchange partition count."""
+    target = rd.DataContext.get_current().target_max_block_size
+    in_dir = str(tmp_path / "in")
+    write_sequences(in_dir, seed=5, n_rows=400, n_files=2)
+    for split in (None, 100):
+        res = FlagshipPipeline(in_dir, make_sources_table(),
+                               str(tmp_path / f"out{split}"),
+                               split_fragment_rows=split).run()
+        assert res["rows"] == 400
+        assert res["shards"][0]["read"]["block_bytes"] < target
+        assert rd.DataContext.get_current().target_max_block_size == target
 
 
 @pytest.mark.parametrize("n_files, n_rows, min_rows, operators", [

@@ -34,8 +34,12 @@ read, and its write bundles ``min_rows_per_file`` rows per task as
 fewer files than blocks makes Ray split each read task's output, and
 the read then runs as its own operator. ``split_fragment_rows`` units
 (file + row-group range) are packed into the same number of
-``from_items`` blocks, each read by one task. Each shard's result
-records its ``read`` sizing (bytes, blocks).
+``from_items`` blocks, each read by one task. The shard Dataset's own
+``target_max_block_size`` is set to the bytes of one of its read tasks
+(``sources.sequences.block_bytes``), so Ray Data's pre-sample guess of
+a task's output (2 × that size) lets every CPU start in the first wave.
+Each shard's result records its ``read`` sizing (bytes, blocks,
+block_bytes).
 
 Stage metrics (``stage_metrics=True``) are Ray Data's own per-operator
 stats of the executed write Dataset (read, transform, encode + write
@@ -98,7 +102,8 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
-from ..sources.sequences import expand_paths, read_blocks, read_parquet_sized
+from ..sources.sequences import (block_bytes, expand_paths, read_blocks,
+                                 read_parquet_sized, source_bytes)
 from ..stages.enrich import Enricher, _as_table
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
@@ -445,14 +450,17 @@ class FlagshipPipeline:
 
     # -- transform DAG -------------------------------------------------
     def _read_fragments(self, frags):
-        """Source Dataset for a shard, and its sizing (bytes, blocks).
-        Plain fragment paths go through ``read_parquet`` (include_paths
-        supplies the fragment id); unit-qualified ids
+        """Source Dataset for a shard, and its sizing (bytes, blocks,
+        block_bytes). Plain fragment paths go through ``read_parquet``
+        (include_paths supplies the fragment id); unit-qualified ids
         ("<file>#rg<a>-<b>", split_fragment_rows) are packed into
         ``from_items`` blocks, and a map stage reads each block's units,
         exactly their row-group ranges, with the unit id as the
         fragment column. Either way the block count is ``read_blocks``
-        over the shard's bytes and manifest rows."""
+        over the shard's bytes and manifest rows, and the Dataset's own
+        ``target_max_block_size`` is the ``block_bytes`` of that plan:
+        Ray's in-memory estimate of the files per read task, or the
+        manifest bytes per unit block."""
         import ray.data as rd
         from ..state.checkpoint import parse_unit
         parsed = [parse_unit(f.path) for f in frags]
@@ -468,7 +476,20 @@ class FlagshipPipeline:
                                  override_num_blocks=blocks,
                                  include_paths=True,
                                  filesystem=self.fs)
-            return ds, {"bytes": nbytes, "blocks": blocks}
+            # one read task per file, at most one per block
+            size = block_bytes(source_bytes(ds), min(len(frags), blocks))
+        else:
+            ds, blocks = self._read_units(frags, parsed, blocks)
+            size = block_bytes(nbytes, blocks)
+        # the shard Dataset's own copy of the context, not the session's
+        ds.context.target_max_block_size = size
+        return ds, {"bytes": nbytes, "blocks": blocks, "block_bytes": size}
+
+    def _read_units(self, frags, parsed, blocks):
+        """``split_fragment_rows`` units packed into at most ``blocks``
+        ``from_items`` blocks, each read by one map task; the Dataset
+        and its block count."""
+        import ray.data as rd
         items = [{"file": p, "rg_start": -1 if a is None else a,
                   "rg_end": -1 if b is None else b, "unit": f.path}
                  for f, (p, a, b) in zip(frags, parsed)]
@@ -491,7 +512,7 @@ class FlagshipPipeline:
         ds = rd.from_items(items, override_num_blocks=blocks).map_batches(
             read_unit, batch_format="pyarrow", batch_size=None,
             zero_copy_batch=True)
-        return ds, {"bytes": nbytes, "blocks": blocks}
+        return ds, blocks
 
     def build_routed_dataset(self, frags):
         """The shard's routed Dataset and its read sizing."""

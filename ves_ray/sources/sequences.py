@@ -82,6 +82,36 @@ def read_blocks(nbytes: int, rows: int | None = None,
     return blocks
 
 
+def source_bytes(ds) -> int:
+    """In-memory size of the sources in ``ds``'s lineage: the estimate
+    each read (or in-memory input) reports from its metadata, summed.
+    Nothing executes. An upper bound on the input of a later stage,
+    since filters and projections only shrink it."""
+    return sum(op.infer_metadata().size_bytes or 0
+               for op in ds._logical_plan.dag.post_order_iter()
+               if not op.input_dependencies)
+
+
+def block_bytes(nbytes: int, tasks: int) -> int | None:
+    """The block size a sized read's plan implies: ``nbytes`` over its
+    ``tasks`` read tasks, capped at the session's
+    ``DataContext.target_max_block_size`` (the cap itself when
+    ``nbytes`` is unknown, 0).
+
+    Set on a Dataset's own ``ds.context``, it sizes Ray Data's guess of
+    a task's output before the first task reports, 2 ×
+    ``target_max_block_size``. Against a budget of half the object
+    store, the default 2 × 128 MiB lets a 768 MiB store start one task
+    of an operator's first wave and leaves the other CPUs idle until
+    it finishes. Below the cap it is one read task's bytes, so Ray's
+    read planning adds no split of a task's output for it."""
+    from ray.data import DataContext
+    target = DataContext.get_current().target_max_block_size
+    if not nbytes or target is None:
+        return target
+    return min(target, -(-int(nbytes) // tasks))
+
+
 def input_bytes(path_or_paths, filesystem=None) -> int:
     """Summed size of the files under ``path_or_paths``; a directory
     counts every file below it."""

@@ -61,24 +61,14 @@ def buckets_of(table: pa.Table, keys: list[str], num_buckets: int) -> np.ndarray
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _source_bytes(ds) -> int:
-    """In-memory size of the sources in ``ds``'s lineage: the estimate
-    each read (or in-memory input) reports from its metadata, summed.
-    Nothing executes. An upper bound on the input of a later stage,
-    since filters and projections only shrink it."""
-    return sum(op.infer_metadata().size_bytes or 0
-               for op in ds._logical_plan.dag.post_order_iter()
-               if not op.input_dependencies)
-
-
 def num_partitions(ds, num_buckets: int) -> int:
     """One partition per live CPU, raised to the block count the read
     sizing rule (``read_blocks``) gives the input's source bytes, so no
     partition outgrows ``DataContext.target_max_block_size`` by more
     than a key's skew; capped at ``num_buckets``. ``ds`` is one Dataset
     or a list of them."""
-    from ..sources.sequences import read_blocks
-    nbytes = sum(_source_bytes(d)
+    from ..sources.sequences import read_blocks, source_bytes
+    nbytes = sum(source_bytes(d)
                  for d in (ds if isinstance(ds, list) else [ds]))
     return max(1, min(num_buckets, read_blocks(nbytes)))
 

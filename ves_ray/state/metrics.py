@@ -58,17 +58,20 @@ def merge_operator_stats(per_shard: list[dict[str, dict]]) -> dict[str, dict]:
 
 def host_snapshot() -> dict:
     """Self/host metrics (the reference's ``sysinfo`` role): the cores
-    this process may run on, the Ray session's CPUs, load and driver
-    peak RSS, stdlib-only."""
+    this process may run on, the Ray session's CPUs and object-store
+    capacity (Ray Data admits an operator's first wave of tasks against
+    half of it), load and driver peak RSS, stdlib-only."""
     import os
     import resource
 
     import ray
     ru = resource.getrusage(resource.RUSAGE_SELF)
+    res = ray.cluster_resources() if ray.is_initialized() else None
     return {
         "affinity_cpus": len(os.sched_getaffinity(0)),
-        "ray_cpus": (int(ray.cluster_resources().get("CPU", 0))
-                     if ray.is_initialized() else None),
+        "ray_cpus": int(res.get("CPU", 0)) if res is not None else None,
+        "object_store_mb": (round(res.get("object_store_memory", 0) / 2**20)
+                            if res is not None else None),
         "loadavg_1m": round(os.getloadavg()[0], 2),
         "driver_maxrss_mb": round(ru.ru_maxrss / 1024, 1),
         "driver_utime_s": round(ru.ru_utime, 2),
