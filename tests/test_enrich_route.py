@@ -1,5 +1,6 @@
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from ves_ray.fixtures import make_sequences_table, make_sources_table
 from ves_ray.schema import DEFAULT_ROUTE, DEFAULT_SEVERITY, DEFAULT_TENANT
@@ -93,15 +94,89 @@ def test_enricher_large_lookup_index_path(monkeypatch):
 
 
 def test_broadcast_enrich_large_lookup_index_path(monkeypatch):
-    """_BroadcastLookup's index path: LEFT-JOIN nulls preserved."""
-    from ves_ray.stages.enrich import Enricher, _BroadcastLookup
+    """broadcast_enrich's lookup (an Enricher without defaults) on the
+    index path: LEFT-JOIN nulls preserved."""
+    from ves_ray.stages.enrich import Enricher
     lut = pa.table({"k": pa.array(range(100), type=pa.int64()),
                     "name": [f"n{i}" for i in range(100)]})
     batch = pa.table({"fk": pa.array([5, 999, None, 0],
                                      type=pa.int64())})
-    small = _BroadcastLookup(lut, "k", ["name"])(batch, "fk")
+
+    def lookup():
+        return Enricher(lut, "fk", None, lookup_key="k", columns=["name"])
+    small = lookup()(batch)
     assert small.column("name").to_pylist() == ["n5", None, None, "n0"]
     monkeypatch.setattr(Enricher, "LARGE_LOOKUP_KEYS", 10)
-    big = _BroadcastLookup(lut, "k", ["name"])
+    big = lookup()
     assert big.index is not None
-    assert big(batch, "fk").equals(small)
+    assert big(batch).equals(small)
+
+
+def _sixteen_blocks(table: pa.Table):
+    import ray.data as rd
+    step = -(-len(table) // 16)
+    return rd.from_arrow([table.slice(i * step, step) for i in range(16)])
+
+
+def test_worker_cached_builds_once_per_worker(tmp_path):
+    """A closure pickled by value still reaches the worker's own cache:
+    16 tasks on the live CPUs build the value at most once per CPU."""
+    import os
+
+    import ray
+    from ves_ray.stages.enrich import worker_cached
+    log = tmp_path / "builds"
+    key = ("probe", str(tmp_path))
+
+    def build():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return object()
+
+    def probe(batch: pa.Table) -> pa.Table:
+        worker_cached(key, build)
+        return batch
+
+    ds = _sixteen_blocks(pa.table({"x": list(range(160))}))
+    assert ds.map_batches(probe, batch_format="pyarrow").count() == 160
+    builds = log.read_text().split()
+    assert 1 <= len(builds) <= int(ray.cluster_resources()["CPU"])
+    assert len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("site", ["task", "fused", "broadcast"])
+def test_lookup_cached_once_per_worker(site):
+    """The three task-mode lookups keep their built object in the
+    worker's cache: over 16 blocks each worker sees one object, not
+    one per task."""
+    import os
+
+    import ray
+    from ves_ray.pipelines.flagship import make_fused_transform
+    from ves_ray.stages.enrich import broadcast_enrich, make_task_enricher
+    from ves_ray.stages.route import hot_route_salts
+    lookup = make_sources_table()
+    ds = _sixteen_blocks(make_sequences_table(3, 800))
+    if site == "broadcast":
+        ds = broadcast_enrich(ds, lookup, left_key="source",
+                              right_key="source", cols=["route"])
+    else:
+        ref = ray.put(lookup)
+        fn = (make_task_enricher(ref) if site == "task"
+              else make_fused_transform(ref, hot_route_salts(lookup)))
+        ds = ds.map_batches(fn, batch_format="pyarrow")
+
+    def report(batch: pa.Table) -> pa.Table:
+        from ves_ray.stages import enrich
+        entries = [(str(k), f"{os.getpid()}:{id(v)}")
+                   for k, v in enrich._WORKER_CACHE.items()
+                   if k[0] == ("broadcast" if site == "broadcast"
+                               else "enricher")]
+        return pa.table({"key": [k for k, _ in entries],
+                         "obj": [o for _, o in entries]})
+
+    seen = ds.map_batches(report, batch_format="pyarrow").to_pandas()
+    # earlier tests' entries may share a worker's cache: count per key
+    per_key = seen.groupby("key")["obj"].nunique()
+    assert len(per_key) >= 1
+    assert per_key.max() <= int(ray.cluster_resources()["CPU"])

@@ -335,8 +335,10 @@ def test_stage_metrics_emitted(tmp_path):
     import json
 
     import ray
-    from ves_ray.sources.sequences import (block_bytes, read_blocks,
-                                           source_bytes)
+    from pyarrow import fs as pafs
+
+    from ves_ray.sources.sequences import (FragmentDatasource, block_bytes,
+                                           read_blocks)
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     paths = write_sequences(in_dir, seed=53, n_rows=200, n_files=4)
     res = FlagshipPipeline(in_dir, make_sources_table(), out_dir).run()
@@ -349,9 +351,9 @@ def test_stage_metrics_emitted(tmp_path):
     shard, = res["shards"]
     nbytes = sum(os.path.getsize(f) for f in paths)
     blocks = read_blocks(nbytes)
-    # 4 files, 4 blocks: 4 read tasks share Ray's in-memory estimate
-    est = source_bytes(rd.read_parquet(sorted(paths), include_paths=True,
-                                       override_num_blocks=blocks))
+    # 4 blocks, 4 read tasks share the reader's in-memory estimate
+    est = FragmentDatasource(sorted(paths), pafs.LocalFileSystem()) \
+        .estimate_inmemory_data_size()
     read = {"bytes": nbytes, "blocks": blocks,
             "block_bytes": block_bytes(est, 4)}
     assert shard["read"] == read
@@ -383,6 +385,26 @@ def test_stage_metrics_emitted(tmp_path):
     assert res["rows"] == 200
 
 
+def test_lookup_put_once_per_pipeline(tmp_path, monkeypatch):
+    """Every shard of a run shares one object-store copy of the lookup,
+    so each worker builds its Enricher once, not once per shard."""
+    import ray
+    in_dir = str(tmp_path / "in")
+    write_sequences(in_dir, seed=5, n_rows=400, n_files=3)
+    pipe = FlagshipPipeline(in_dir, make_sources_table(),
+                            str(tmp_path / "out"), shard_size=1)
+    put, puts = ray.put, []
+
+    def counted_put(value, **kw):
+        puts.append(value)
+        return put(value, **kw)
+
+    monkeypatch.setattr(ray, "put", counted_put)
+    res = pipe.run()
+    assert len(res["shards"]) == 3 and res["rows"] == 400
+    assert sum(value is pipe.lookup for value in puts) == 1
+
+
 def test_run_leaves_session_block_size_unchanged(tmp_path):
     """A shard hands Ray Data its block size through its own Dataset's
     context. A write to the session's DataContext would shrink every
@@ -400,14 +422,18 @@ def test_run_leaves_session_block_size_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("n_files, n_rows, min_rows, operators", [
-    # fewer files than the 4 read blocks: Ray splits each read task's
-    # output, so the read runs as its own operator (as at the parent)
-    (2, 200, None, {"ReadParquet->SplitBlocks(2)": 2,
-                    "MapBatches(transform)->Write": 4}),
+    # 2 files of 2 row groups: one read task per row group, fused
+    (2, 200, None, {"ReadParquet->MapBatches(transform)->Write": 4}),
     # 2000 // 500 = 4 blocks of min_rows rows, one per CPU: fused
     (8, 2000, 500, {"ReadParquet->MapBatches(transform)->Write": 4}),
     # 2000 // 600 = 3 < 4 CPUs: uncapped read, bundled write
     (8, 2000, 600, {"ReadParquet": 4, "MapBatches(transform)->Write": 2}),
+    # 1 file of 2 row groups, fewer than the 4 read blocks: Ray splits
+    # each read task's output, so the read runs as its own operator,
+    # and the 4 write tasks write as many files as one read task split
+    # in 4 does
+    (1, 200, None, {"ReadParquet->SplitBlocks(2)": 2,
+                    "MapBatches(transform)->Write": 4}),
 ])
 def test_shard_plan_shape(tmp_path, n_files, n_rows, min_rows, operators):
     """The operators a shard executes, with their task counts, and one

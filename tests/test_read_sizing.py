@@ -1,4 +1,4 @@
-"""The shared read-sizing rule and the sequences reader built on it."""
+"""The shared read-sizing rule and the fragment reader built on it."""
 
 import os
 
@@ -9,10 +9,10 @@ from pyarrow import fs as pafs
 
 import ray
 from ray.data import DataContext
-from ves_ray.fixtures import write_sequences
-from ves_ray.sources.sequences import (block_bytes, input_bytes,
-                                       read_blocks, read_parquet_sized,
-                                       read_sequences, source_bytes)
+from ves_ray.fixtures import make_sequences_table, write_sequences
+from ves_ray.sources.sequences import (FragmentDatasource, block_bytes,
+                                       input_bytes, read_blocks,
+                                       read_parquet_sized)
 
 
 def test_read_blocks_floor_is_live_cpus_and_grows_with_bytes():
@@ -59,21 +59,6 @@ def test_sized_read_uses_one_block_per_cpu(tmp_path):
     assert ds.count() == 5000
 
 
-def test_read_sequences_uri_list_and_explicit_filesystem(tmp_path):
-    """URI inputs are read through the filesystem their scheme names;
-    an explicit filesystem is passed to the read for in-store paths."""
-    root = str(tmp_path / "seq")
-    paths = write_sequences(root, seed=5, n_rows=120, n_files=3)
-    uris = [f"file://{p}" for p in paths]
-    assert read_sequences(uris).count() == 120
-    assert read_sequences(iter(uris)).count() == 120
-    sub = pafs.SubTreeFileSystem(root, pafs.LocalFileSystem())
-    names = [os.path.basename(p) for p in paths]
-    ds = read_sequences(names, filesystem=sub, include_paths=True)
-    got = ds.to_pandas()
-    assert len(got) == 120 and set(got["path"]) == set(names)
-
-
 def test_block_bytes_is_bytes_per_task_capped_at_session_target():
     target = DataContext.get_current().target_max_block_size
     assert block_bytes(4_000, 4) == 1_000
@@ -99,31 +84,70 @@ def _shard_read(tmp_path, n_files, split_rows=None):
     return ds, sizing, frags
 
 
-@pytest.mark.parametrize("n_files", [2, 8])
-def test_parquet_shard_block_bytes_is_estimate_per_read_task(tmp_path,
-                                                             n_files):
-    """A read_parquet shard hands its own Dataset Ray's in-memory
-    estimate of its files over its read tasks, min(files, blocks)."""
-    ds, sizing, _ = _shard_read(tmp_path, n_files)
-    blocks = int(ray.cluster_resources()["CPU"])
-    assert sizing["blocks"] == blocks
-    assert sizing["block_bytes"] == block_bytes(source_bytes(ds),
-                                                min(n_files, blocks))
+@pytest.mark.parametrize("n_files, split_rows", [(2, None), (8, None),
+                                                  (2, 100)])
+def test_shard_block_bytes_is_estimate_per_read_task(tmp_path, n_files,
+                                                     split_rows):
+    """Whole files and row-group units alike: the shard's Dataset gets
+    the reader's in-memory estimate over its read tasks,
+    min(blocks, row groups), and its sizing counts each file's bytes
+    once."""
+    from ves_ray.state.checkpoint import parse_unit
+    ds, sizing, frags = _shard_read(tmp_path, n_files, split_rows)
+    assert (len(frags) > n_files) == bool(split_rows)
+    source = FragmentDatasource([f.path for f in frags],
+                                pafs.LocalFileSystem())
+    tasks = source.get_read_tasks(sizing["blocks"])
+    assert sizing == {
+        "bytes": sum({parse_unit(f.path)[0]: f.size_bytes for f in frags}
+                     .values()),
+        "blocks": int(ray.cluster_resources()["CPU"]),
+        "block_bytes": block_bytes(source.estimate_inmemory_data_size(),
+                                   len(tasks))}
     assert 0 < sizing["block_bytes"] \
         < DataContext.get_current().target_max_block_size
     assert ds.context.target_max_block_size == sizing["block_bytes"]
 
 
-def test_unit_range_shard_block_bytes_is_manifest_bytes_per_block(tmp_path):
-    """A split_fragment_rows shard (file + row-group range units) hands
-    its Dataset the manifest bytes over its blocks."""
-    from ves_ray.state.checkpoint import parse_unit
-    ds, sizing, frags = _shard_read(tmp_path, 2, split_rows=100)
-    assert len(frags) > 2       # the two files split into units
-    nbytes = sum({parse_unit(f.path)[0]: f.size_bytes for f in frags}
-                 .values())
-    assert sizing["bytes"] == nbytes
-    assert sizing["blocks"] == min(len(frags),
-                                   int(ray.cluster_resources()["CPU"]))
-    assert sizing["block_bytes"] == block_bytes(nbytes, sizing["blocks"])
-    assert ds.context.target_max_block_size == sizing["block_bytes"]
+def _write_groups(path, groups, offset=0):
+    """One fixture file whose row groups hold ``groups`` rows each."""
+    with pq.ParquetWriter(path, make_sequences_table(7, 1).schema) as w:
+        for rows in groups:
+            w.write_table(make_sequences_table(7, rows, row_offset=offset))
+            offset += rows
+    return offset
+
+
+def test_estimate_is_within_tenth_of_arrow_bytes(tmp_path):
+    """The footer-derived estimate is within 10 % of the Arrow bytes
+    the read tasks yield, for whole files and for row-group units."""
+    paths = write_sequences(str(tmp_path), seed=7, n_rows=20_000, n_files=4)
+    for ids in (paths, [f"{paths[0]}#rg1-2", paths[1]]):
+        source = FragmentDatasource(ids, pafs.LocalFileSystem())
+        got = sum(t.nbytes for task in source.get_read_tasks(4)
+                  for t in task())
+        assert abs(source.estimate_inmemory_data_size() - got) < got / 10
+
+
+def test_read_tasks_pack_row_groups_balanced_by_rows(tmp_path):
+    """min(n, row groups) tasks of contiguous row groups, in order and
+    balanced by rows; every unit's rows are read once, under its own
+    fragment id, and each task's metadata counts what it yields."""
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    end = _write_groups(a, [300, 300, 300, 120])
+    _write_groups(b, [250, 250, 250, 250, 40], offset=end)
+    ids = [a, f"{b}#rg1-4"]          # b's units: row groups 1, 2 and 3
+    want = pa.concat_tables([pq.read_table(a).slice(0, end),
+                             pq.read_table(b).slice(250, 750)])
+    for n in (1, 2, 3, 4, 7, 100):
+        tasks = FragmentDatasource(ids, pafs.LocalFileSystem()) \
+            .get_read_tasks(n)
+        assert len(tasks) == min(n, 7)
+        read = [pa.concat_tables(list(task())) for task in tasks]
+        assert [t.num_rows for t in read] \
+            == [task.metadata.num_rows for task in tasks]
+        rows = [t.num_rows for t in read]
+        assert max(rows) - min(rows) <= 300
+        got = pa.concat_tables(read)
+        assert got["doc_id"].equals(want["doc_id"])
+        assert got["path"].to_pylist() == [a] * end + [ids[1]] * 750

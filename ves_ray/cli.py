@@ -104,8 +104,7 @@ def cmd_export(args) -> int:
     export (state.export — the T10 wire-format analogue)."""
     import os
 
-    import ray.data as rd
-
+    from .sources.sequences import read_parquet_sized
     from .state.export import export_results, verify_export
 
     _init_ray(args.num_cpus)
@@ -117,7 +116,7 @@ def cmd_export(args) -> int:
             tables[name] = pq.read_table(path)
     routed = os.path.join(args.run_dir, "routed")
     if args.include_rows and os.path.isdir(routed):
-        tables["routed"] = rd.read_parquet(routed)
+        tables["routed"] = read_parquet_sized(routed)
     if not tables:
         print(f"nothing to export under {args.run_dir}", file=sys.stderr)
         return 2

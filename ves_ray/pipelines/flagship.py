@@ -4,7 +4,7 @@ One streaming Dataset execution per shard of input fragments. Default
 physical plan (enrich_mode auto → task for small lookups), ONE fused
 task per read block:
 
-    ReadParquet(pending, include_paths)          # S8/S9: fragment read
+    ReadParquet(FragmentDatasource(pending))     # S8/S9: fragment read
       -> MapBatches(parse+checksum+enrich+salt)  # T1/T4/T5
       -> Write(RoutedShardSink: .tmp-shard/route=*/)            # T7
          each task returns its file names + (fragment, route,
@@ -18,28 +18,26 @@ task per read block:
     markers  = per-fragment checkpoint records (written LAST)   # T9
     final aggregates = O(shards) merge of per-shard records
 
-Read sizing (sources.sequences.read_blocks): a shard is read as
-``max(live CPUs, ceil(bytes / target_max_block_size))`` blocks, bytes
-and rows taken from the checkpoint manifest. Ray's default of at least
-200 read blocks would cut a 56 MB shard into blocks of a few hundred
-rows, each paying every stage's per-block overhead. With
-``min_rows_per_file`` in task mode the count is capped at
-``rows // min_rows_per_file`` as long as that still gives every CPU a
-block; the sink then asks for no minimum rows per write, so Ray fuses
-read, transform and write into one task per block, and each task
-(at least ``min_rows_per_file`` rows) writes one file per route. A shard too
-small for that cap (rows < CPUs × min_rows_per_file) keeps the uncapped
-read, and its write bundles ``min_rows_per_file`` rows per task as
-``write_parquet`` would: no core idles to make files larger. A shard of
-fewer files than blocks makes Ray split each read task's output, and
-the read then runs as its own operator. ``split_fragment_rows`` units
-(file + row-group range) are packed into the same number of
-``from_items`` blocks, each read by one task. The shard Dataset's own
-``target_max_block_size`` is set to the bytes of one of its read tasks
-(``sources.sequences.block_bytes``), so Ray Data's pre-sample guess of
-a task's output (2 × that size) lets every CPU start in the first wave.
-Each shard's result records its ``read`` sizing (bytes, blocks,
-block_bytes).
+Read (``sources.sequences``): one reader, ``FragmentDatasource``, takes
+whole files and ``split_fragment_rows`` units (file + row-group range)
+alike. ``read_blocks`` picks ``max(live CPUs, ceil(bytes /
+target_max_block_size))`` blocks from the manifest's bytes and rows,
+not Ray's default of at least 200, which would cut a 56 MB shard into
+blocks of a few hundred rows. With ``min_rows_per_file`` in task mode
+the count is capped at ``rows // min_rows_per_file`` where that still
+gives every CPU a block; the sink then asks for no minimum rows per
+write, so Ray fuses read, transform and write into one task per block,
+each writing one file per route. A shard too small for that cap keeps
+the uncapped read, and its write bundles ``min_rows_per_file`` rows
+per task as ``write_parquet`` would. The reader packs the row groups,
+in manifest order, into ``min(blocks, row groups)`` tasks balanced by
+rows; only a shard of fewer row groups than blocks makes Ray split a
+task's output and run the read as its own operator. The shard
+Dataset's own ``target_max_block_size`` is the reader's footer-derived
+estimate over its tasks (``block_bytes``), so Ray Data's pre-sample
+guess of a task's output (2 × that size) lets every CPU start in the
+first wave. Each shard's result records its ``read`` sizing (bytes,
+blocks, block_bytes).
 
 Stage metrics (``stage_metrics=True``) are Ray Data's own per-operator
 stats of the executed write Dataset (read, transform, encode + write
@@ -93,6 +91,7 @@ shard; routing skew is handled by salting hot routes (stages.route).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -102,9 +101,10 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
-from ..sources.sequences import (block_bytes, expand_paths, read_blocks,
-                                 read_parquet_sized, source_bytes)
-from ..stages.enrich import Enricher, _as_table
+from ..sources.sequences import (FragmentDatasource, block_bytes,
+                                 expand_paths, read_blocks,
+                                 read_parquet_sized)
+from ..stages.enrich import Enricher, _as_table, cached_enricher
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
 from ..state.checkpoint import (CheckpointStore, atomic_publish_dir,
@@ -168,30 +168,16 @@ def _parse_and_checksum(batch: pa.Table) -> pa.Table:
     return add_row_checksum_batch(batch)
 
 
-# Per-worker-process cache for the fused task-mode transform (same
-# pattern as stages.enrich._TASK_ENRICHERS: a cloudpickled closure is
-# re-deserialized per task, so per-worker state must live at module
-# scope keyed by the broadcast ref).
-_FUSED_ENRICHERS: dict[str, Enricher] = {}
-
-
 def make_fused_transform(lookup_ref, hot_salt):
     """parse → checksum → broadcast-lookup enrich → salt as ONE
     map_batches stage. Explicit fusion: one operator means one plasma
     hop between read and write instead of three, and no rebatching
     between stages. Used when the lookup is small enough that the
     stateful-setup argument for a dedicated actor pool doesn't apply."""
-    from ..stages.route import make_salter
     salter = make_salter(hot_salt)
-    ref_key = lookup_ref.hex()
 
     def transform(batch: pa.Table) -> pa.Table:
-        e = _FUSED_ENRICHERS.get(ref_key)
-        if e is None:
-            import ray
-            e = Enricher(ray.get(lookup_ref))
-            _FUSED_ENRICHERS[ref_key] = e
-        return salter(e(_parse_and_checksum(batch)))
+        return salter(cached_enricher(lookup_ref)(_parse_and_checksum(batch)))
 
     return transform
 
@@ -431,6 +417,13 @@ class FlagshipPipeline:
         self.split_fragment_rows = split_fragment_rows
         self.store = CheckpointStore(out_inner, self.fs)
 
+    @functools.cached_property
+    def _lookup_ref(self):
+        """The lookup in the object store, put once for all shards: a
+        new ref per shard would rebuild each worker's Enricher."""
+        import ray
+        return ray.put(self.lookup)
+
     # -- planning ------------------------------------------------------
     def _manifest(self):
         return build_manifest(self.input_paths,
@@ -451,74 +444,28 @@ class FlagshipPipeline:
     # -- transform DAG -------------------------------------------------
     def _read_fragments(self, frags):
         """Source Dataset for a shard, and its sizing (bytes, blocks,
-        block_bytes). Plain fragment paths go through ``read_parquet``
-        (include_paths supplies the fragment id); unit-qualified ids
-        ("<file>#rg<a>-<b>", split_fragment_rows) are packed into
-        ``from_items`` blocks, and a map stage reads each block's units,
-        exactly their row-group ranges, with the unit id as the
-        fragment column. Either way the block count is ``read_blocks``
-        over the shard's bytes and manifest rows, and the Dataset's own
-        ``target_max_block_size`` is the ``block_bytes`` of that plan:
-        Ray's in-memory estimate of the files per read task, or the
-        manifest bytes per unit block."""
+        block_bytes): the one read rule of the module docstring."""
         import ray.data as rd
         from ..state.checkpoint import parse_unit
-        parsed = [parse_unit(f.path) for f in frags]
         # a unit's extent carries its FILE's size: count each file once
-        nbytes = sum({p: f.size_bytes for f, (p, _, _) in zip(frags, parsed)}
+        nbytes = sum({parse_unit(f.path)[0]: f.size_bytes for f in frags}
                      .values())
         # actor mode bundles its writes, so only task mode caps the read
         blocks = read_blocks(nbytes, sum(f.num_rows for f in frags),
                              self.min_rows_per_file
                              if self.enrich_mode == "task" else None)
-        if all(a is None for _, a, _ in parsed):
-            ds = rd.read_parquet([f.path for f in frags],
-                                 override_num_blocks=blocks,
-                                 include_paths=True,
-                                 filesystem=self.fs)
-            # one read task per file, at most one per block
-            size = block_bytes(source_bytes(ds), min(len(frags), blocks))
-        else:
-            ds, blocks = self._read_units(frags, parsed, blocks)
-            size = block_bytes(nbytes, blocks)
+        source = FragmentDatasource([f.path for f in frags], self.fs)
+        ds = rd.read_datasource(source, override_num_blocks=blocks)
+        size = block_bytes(source.estimate_inmemory_data_size(),
+                           len(source.get_read_tasks(blocks)))
         # the shard Dataset's own copy of the context, not the session's
         ds.context.target_max_block_size = size
         return ds, {"bytes": nbytes, "blocks": blocks, "block_bytes": size}
 
-    def _read_units(self, frags, parsed, blocks):
-        """``split_fragment_rows`` units packed into at most ``blocks``
-        ``from_items`` blocks, each read by one map task; the Dataset
-        and its block count."""
-        import ray.data as rd
-        items = [{"file": p, "rg_start": -1 if a is None else a,
-                  "rg_end": -1 if b is None else b, "unit": f.path}
-                 for f, (p, a, b) in zip(frags, parsed)]
-        blocks = min(blocks, len(items))
-        f_sys = self.fs
-
-        def read_unit(batch: pa.Table) -> pa.Table:
-            tabs = []
-            for row in batch.to_pylist():
-                pf = vfs.open_parquet(f_sys, row["file"])
-                if row["rg_start"] >= 0:
-                    t = pf.read_row_groups(
-                        list(range(row["rg_start"], row["rg_end"])))
-                else:
-                    t = pf.read()
-                tabs.append(t.append_column(
-                    "path", pa.array([row["unit"]] * len(t))))
-            return pa.concat_tables(tabs)
-
-        ds = rd.from_items(items, override_num_blocks=blocks).map_batches(
-            read_unit, batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True)
-        return ds, blocks
-
     def build_routed_dataset(self, frags):
         """The shard's routed Dataset and its read sizing."""
-        import ray
         ds, sizing = self._read_fragments(frags)
-        lookup_ref = ray.put(self.lookup)
+        lookup_ref = self._lookup_ref
         if self.enrich_mode == "task":
             # broadcast-small-side path: ONE fused task stage
             # (parse+checksum+enrich+salt); lookup decoded once per

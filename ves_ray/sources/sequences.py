@@ -1,12 +1,14 @@
 """Sequences-table sources (BASELINE.json input_hint shape).
 
-``read_sequences`` is the engine's read side — the batch analogue of
-the reference's watcher+tailer chain (discover files → tail chunks,
+``FragmentDatasource`` is the engine's read side, the batch analogue
+of the reference's watcher+tailer chain (discover files → tail chunks,
 components/core-agent/src/watcher/discovery.rs:18-49,
-src/tailer/tailer.rs:43-59): Ray Data enumerates Parquet fragments and
-streams Arrow record batches with backpressure; ``include_paths``
-carries the fragment identity (the inode analogue) on every row for
-lineage/checkpointing.
+src/tailer/tailer.rs:43-59): it reads a shard's fragments, whole files
+or ``"<file>#rg<a>-<b>"`` row-group ranges, as contiguous runs of row
+groups balanced by rows, and streams one Arrow table per row group
+with the fragment id (the inode analogue) as its ``path`` column for
+lineage/checkpointing. ``read_blocks`` and ``block_bytes`` are the
+sizing rule every sized read shares.
 
 ``documents_as_sequences`` adapts the driver testdata ``documents``
 table (doc_id:int, text, lang, source, n_chars) into the sequences
@@ -19,11 +21,14 @@ in-repo single-process oracle instead).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 from ..hashing import hash_strings
 from ..schema import VOCAB_SIZE
@@ -99,12 +104,9 @@ def block_bytes(nbytes: int, tasks: int) -> int | None:
     ``nbytes`` is unknown, 0).
 
     Set on a Dataset's own ``ds.context``, it sizes Ray Data's guess of
-    a task's output before the first task reports, 2 ×
-    ``target_max_block_size``. Against a budget of half the object
-    store, the default 2 × 128 MiB lets a 768 MiB store start one task
-    of an operator's first wave and leaves the other CPUs idle until
-    it finishes. Below the cap it is one read task's bytes, so Ray's
-    read planning adds no split of a task's output for it."""
+    a task's output before the first task reports (2 × the target), so
+    every CPU starts in the first wave (NOTES.md "A shard's first
+    wave"); below the cap Ray's read planning adds no split for it."""
     from ray.data import DataContext
     target = DataContext.get_current().target_max_block_size
     if not nbytes or target is None:
@@ -145,24 +147,100 @@ def read_parquet_sized(path_or_paths, *, nbytes: int | None = None,
                            override_num_blocks=read_blocks(nbytes), **kw)
 
 
-def read_sequences(path_or_paths, *, columns: list[str] | None = None,
-                   include_paths: bool = False, concurrency: int | None = None,
-                   filesystem=None):
-    """Dataset over a sequences directory or fragment list. URI inputs
-    are listed scheme-stripped, so without an explicit ``filesystem``
-    they are read through the filesystem the first input's scheme
-    names (one store per call)."""
+# Arrow bytes per value of Parquet's fixed-width physical types
+_WIDTHS = {"BOOLEAN": 1, "INT32": 4, "INT64": 8, "INT96": 12,
+           "FLOAT": 4, "DOUBLE": 8}
+
+
+def _row_group_bytes(md, rg: int) -> int:
+    """In-memory Arrow size of row group ``rg`` from the footer ``md``:
+    fixed-width leaves as values × width, byte arrays at their
+    uncompressed size, plus 4 B of offsets per row for each byte-array
+    and each list column (``total_byte_size`` under-counts by a third:
+    dictionary pages hold each distinct value once)."""
+    group, total = md.row_group(rg), 0
+    for i in range(group.num_columns):
+        col, leaf = group.column(i), md.schema.column(i)
+        if col.physical_type == "BYTE_ARRAY":
+            total += col.total_uncompressed_size + 4 * group.num_rows
+        else:   # FIXED_LEN_BYTE_ARRAY: the leaf's declared length
+            total += col.num_values * _WIDTHS.get(col.physical_type,
+                                                  leaf.length)
+        if leaf.max_repetition_level:
+            total += 4 * group.num_rows
+    return total
+
+
+def _read_row_groups(filesystem, units):
+    """A read task: each ``(file, row group, fragment id)`` unit as its
+    own table, with the fragment id as ``path``."""
     from ..state import fs as vfs
-    if not isinstance(path_or_paths, str):
-        path_or_paths = list(path_or_paths)
-    paths = expand_paths(path_or_paths, filesystem)
-    if filesystem is None and paths:
-        first = (path_or_paths if isinstance(path_or_paths, str)
-                 else path_or_paths[0])
-        filesystem = vfs.resolve_fs(first)[0]
-    return read_parquet_sized(paths, columns=columns,
-                              include_paths=include_paths,
-                              concurrency=concurrency, filesystem=filesystem)
+    pf = path = None
+    for file, rg, fid in units:
+        if file != path:
+            pf, path = vfs.open_parquet(filesystem, file), file
+        table = pf.read_row_group(rg)
+        yield table.append_column(
+            "path", pa.array([fid] * len(table), pa.string()))
+
+
+class FragmentDatasource(Datasource):
+    """A shard's fragments, files or ``"<file>#rg<a>-<b>"`` units (row
+    groups ``[a, b)``), as a Ray Data source. ``get_read_tasks(n)``
+    cuts their row groups, in order, into ``min(n, row groups)``
+    contiguous runs of about equal rows; a task streams its run, one
+    table per row group. Sizes come from the footers, read once on the
+    driver. The name keeps the operator ``ReadParquet``."""
+
+    def __init__(self, fragment_ids: list[str], filesystem):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from ..state import fs as vfs
+        from ..state.checkpoint import parse_unit
+        parsed = [parse_unit(fid) for fid in fragment_ids]
+        files = list(dict.fromkeys(p for p, _, _ in parsed))
+        with ThreadPoolExecutor(max_workers=min(32, len(files) or 1)) as pool:
+            footers = dict(zip(files, pool.map(
+                lambda p: vfs.open_parquet(filesystem, p).metadata, files)))
+        self._filesystem = filesystem
+        self._units, self._rows, self._bytes = [], [], []
+        for fid, (file, start, end) in zip(fragment_ids, parsed):
+            md = footers[file]
+            for rg in range(start or 0, end or md.num_row_groups):
+                rows = md.row_group(rg).num_rows
+                self._units.append((file, rg, fid))
+                self._rows.append(rows)
+                # plus the path column's characters and offsets
+                self._bytes.append(_row_group_bytes(md, rg)
+                                   + rows * (len(fid.encode()) + 4))
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._bytes)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        n, cum = min(parallelism, len(self._units)), np.cumsum(self._rows)
+        bounds = [0]
+        for j in range(1, n):
+            # cut where the running rows come nearest j/n of the total,
+            # keeping at least one row group for this and each later task
+            goal = cum[-1] * j / n
+            i = int(np.searchsorted(cum, goal))
+            if i and goal - cum[i - 1] < cum[i] - goal:
+                i -= 1
+            bounds.append(min(max(i + 1, bounds[-1] + 1),
+                              len(self._units) - (n - j)))
+        bounds.append(len(self._units))
+        return [ReadTask(
+            functools.partial(_read_row_groups, self._filesystem,
+                              self._units[a:b]),
+            BlockMetadata(num_rows=sum(self._rows[a:b]),
+                          size_bytes=sum(self._bytes[a:b]),
+                          input_files=sorted({u[0] for u in self._units[a:b]}),
+                          exec_stats=None))
+            for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 _WS = r"\s+"
@@ -207,27 +285,18 @@ def documents_to_sequences_batch(batch: pa.Table) -> pa.Table:
     padded = pc.utf8_lpad(ids, width=12, padding="0")
     doc_id = pc.binary_join_element_wise(src, padded, "-")
     t = tokenize_batch(batch, text_col="text")
-    keep = ["tokens", "n_tok", "source"]
-    cols = {"doc_id": doc_id}
-    for k in keep:
-        cols[k] = t[k]
-    extra = [c for c in t.column_names if c not in keep + ["doc_id"]]
-    for c in extra:
-        if c in ("lang", "n_chars"):
-            cols[c] = t[c]
-    return pa.table(cols)
+    return pa.table({"doc_id": doc_id, **{
+        c: t[c] for c in ("tokens", "n_tok", "source", "lang", "n_chars")
+        if c in t.column_names}})
 
 
-def documents_as_sequences(sf_dir_or_path: str, *, concurrency: int | None = None,
-                           filesystem=None):
+def documents_as_sequences(sf_dir_or_path: str, *, filesystem=None):
     """Dataset over the driver documents table in sequences shape."""
-    import ray.data as rd
-
     from ..state import fs as vfs
     f, p = vfs.resolve_fs(sf_dir_or_path, filesystem)
     if vfs.is_dir(f, p):
         p = vfs.join(p, "documents.parquet")
-    ds = rd.read_parquet(p, columns=["doc_id", "text", "source"],
-                         concurrency=concurrency, filesystem=f)
+    ds = read_parquet_sized(p, columns=["doc_id", "text", "source"],
+                            filesystem=f)
     return ds.map_batches(documents_to_sequences_batch, batch_format="pyarrow",
                           zero_copy_batch=True)

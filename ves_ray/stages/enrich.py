@@ -16,6 +16,8 @@ dropped (FIXTURES.md §2 edge case).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -42,12 +44,13 @@ def _as_table(lookup) -> pa.Table:
 
 
 class Enricher:
-    """Actor-pool stage: ``map_batches(Enricher, fn_constructor_kwargs=
-    dict(lookup=ref), concurrency=N, batch_format='pyarrow')``.
-
-    `lookup`: pa.Table / dict / ray.ObjectRef of either. Defaults
-    applied for sources absent from the table.
-    """
+    """Broadcast lookup join as a callable: the actor-pool stage
+    (``map_batches(Enricher, fn_constructor_kwargs=dict(lookup=ref))``)
+    and the object task mode builds once per worker. `lookup`: pa.Table
+    / dict / ray.ObjectRef of either. Each batch row gets the
+    ``columns`` of the lookup row whose ``lookup_key`` equals its
+    ``key``; a key absent from the table gets ``defaults``, or nulls (a
+    LEFT JOIN) when ``defaults`` is None."""
 
     #: above this many keys, probe via a pandas Index whose hash table
     #: is built ONCE here and reused every batch — ``pc.index_in``
@@ -57,10 +60,12 @@ class Enricher:
     LARGE_LOOKUP_KEYS = 65_536
 
     def __init__(self, lookup, key: str = "source",
-                 defaults: tuple[str, str, str] = (DEFAULT_TENANT, DEFAULT_SEVERITY, DEFAULT_ROUTE)):
+                 defaults: tuple | None = (DEFAULT_TENANT, DEFAULT_SEVERITY,
+                                           DEFAULT_ROUTE),
+                 *, lookup_key: str = "source", columns=ENRICH_COLUMNS):
         t = _as_table(lookup)
         self.key = key
-        self.value_set = t["source"].combine_chunks()
+        self.value_set = t[lookup_key].combine_chunks()
         self.index = None
         if len(t) > self.LARGE_LOOKUP_KEYS:
             import pandas as pd
@@ -71,21 +76,24 @@ class Enricher:
                 self.index = None
             else:
                 self.index.get_indexer(self.index[:1])  # build now
-        # append the default row at index len(t): unmatched keys land there
-        self.columns = {
-            name: pa.concat_arrays([t[name].combine_chunks(), pa.array([default])])
-            for name, default in zip(ENRICH_COLUMNS, defaults)
-        }
-        self.default_index = len(t)
+        self.columns = {name: t[name].combine_chunks() for name in columns}
+        self.default_index = None
+        if defaults is not None:
+            # the default row at index len(t): unmatched keys land there
+            self.columns = {name: pa.concat_arrays([arr, pa.array([d])])
+                            for (name, arr), d in zip(self.columns.items(),
+                                                      defaults)}
+            self.default_index = len(t)
 
     def _probe(self, keys: pa.Array) -> pa.Array:
         if self.index is None:
             idx = pc.index_in(keys, value_set=self.value_set)
-            return pc.fill_null(idx, self.default_index)
-        import numpy as np
-        iv = self.index.get_indexer(keys.to_numpy(zero_copy_only=False))
-        np.copyto(iv, self.default_index, where=iv < 0)
-        return pa.array(iv, type=pa.int64())
+        else:
+            iv = self.index.get_indexer(keys.to_numpy(zero_copy_only=False))
+            idx = pa.array(iv, type=pa.int64(), mask=iv < 0)
+        # a null index takes as null
+        return (idx if self.default_index is None
+                else pc.fill_null(idx, self.default_index))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = batch[self.key]
@@ -98,70 +106,43 @@ class Enricher:
         return out
 
 
-# Per-worker-process cache for task-mode enrichment: the lookup is
-# fetched from the object store and decoded once per worker (task
-# workers persist across Dataset executions), not once per batch.
-_TASK_ENRICHERS: dict[str, "Enricher"] = {}
+#: entries ``worker_cached`` keeps, least recently used dropped first:
+#: each run puts a new ref, and workers outlive runs
+WORKER_CACHE_ENTRIES = 4
+_WORKER_CACHE: OrderedDict = OrderedDict()
+
+
+def worker_cached(key, build):
+    """``build()``, made once per worker process for each ``key``, from
+    inside a ``map_batches`` function. A nested function is pickled by
+    value with any module dict it names, so every task would get an
+    empty copy; this top-level function pickles by reference, so its
+    cache is the worker's own, shared by every task the worker runs."""
+    if key in _WORKER_CACHE:
+        _WORKER_CACHE.move_to_end(key)
+        return _WORKER_CACHE[key]
+    value = _WORKER_CACHE[key] = build()
+    while len(_WORKER_CACHE) > WORKER_CACHE_ENTRIES:
+        _WORKER_CACHE.popitem(last=False)
+    return value
+
+
+def cached_enricher(lookup_ref, key: str = "source") -> Enricher:
+    """This worker's :class:`Enricher` over the ``ray.put`` lookup
+    ``lookup_ref``, built on first use (``worker_cached``)."""
+    import ray
+    return worker_cached(("enricher", lookup_ref.hex(), key),
+                         lambda: Enricher(ray.get(lookup_ref), key=key))
 
 
 def make_task_enricher(lookup_ref, key: str = "source"):
-    """Task-mode broadcast lookup: a stateless ``map_batches`` fn that
-    lazily builds one :class:`Enricher` per worker process from the
-    ``ray.put`` ref. Prefer this over the actor pool when the lookup is
-    small (an actor pool buys once-per-actor setup at the cost of
-    dedicated processes; for a tiny dict the setup is free and task
-    workers are already warm)."""
-    ref_key = lookup_ref.hex()
-
+    """Task-mode broadcast lookup: a stateless ``map_batches`` fn over
+    ``cached_enricher``. For a small lookup it beats the actor pool: the
+    setup is cheap, and task workers are already warm."""
     def enrich(batch: pa.Table) -> pa.Table:
-        e = _TASK_ENRICHERS.get(ref_key)
-        if e is None:
-            import ray
-            e = Enricher(ray.get(lookup_ref), key=key)
-            _TASK_ENRICHERS[ref_key] = e
-        return e(batch)
+        return cached_enricher(lookup_ref, key)(batch)
 
     return enrich
-
-
-class _BroadcastLookup:
-    """Prepared small-side of a broadcast lookup join: key array plus
-    value columns, chunks combined once so every batch probe is a pure
-    ``pc.index_in`` + ``take`` with no per-batch Python work."""
-
-    def __init__(self, table: pa.Table, key: str, cols: list[str]):
-        self.key_values = table[key].combine_chunks()
-        self.columns = {c: table[c].combine_chunks() for c in cols}
-        self.index = None
-        if len(table) > Enricher.LARGE_LOOKUP_KEYS:
-            import pandas as pd
-            # same rationale as Enricher: hash the key set once here,
-            # not per batch inside pc.index_in
-            self.index = pd.Index(
-                self.key_values.to_numpy(zero_copy_only=False))
-            if not self.index.is_unique:
-                self.index = None
-            else:
-                self.index.get_indexer(self.index[:1])
-
-    def __call__(self, batch: pa.Table, left_key: str) -> pa.Table:
-        keys = batch[left_key]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        if self.index is None:
-            idx = pc.index_in(keys, value_set=self.key_values)
-        else:
-            iv = self.index.get_indexer(
-                keys.to_numpy(zero_copy_only=False))
-            idx = pa.array(iv, type=pa.int64(), mask=iv < 0)
-        out = batch
-        for name, arr in self.columns.items():
-            # null idx (unmatched key) takes as null — LEFT JOIN nulls
-            out = out.append_column(name, arr.take(idx))
-        return out
-
-
-_BROADCAST_LOOKUPS: dict[str, "_BroadcastLookup"] = {}
 
 
 def broadcast_enrich(ds, table: pa.Table, *, left_key: str,
@@ -171,20 +152,18 @@ def broadcast_enrich(ds, table: pa.Table, *, left_key: str,
     ``batch[left_key] == table[right_key]`` — a vectorized broadcast
     LEFT JOIN (unmatched keys yield nulls). The table ships to the
     object store ONCE via ``ray.put``; each worker process decodes and
-    chunk-combines it once (cached), never per batch.
+    chunk-combines it once (``worker_cached``), never per batch.
 
     This is the scale-correct replacement for per-row dict lookups:
     the probe is one Arrow ``index_in`` kernel per batch."""
     import ray
     ref = ray.put(table.select([right_key, *cols]))
-    ref_key = ref.hex()
+    cache_key = ("broadcast", ref.hex())
 
     def enrich(batch: pa.Table) -> pa.Table:
-        lut = _BROADCAST_LOOKUPS.get(ref_key)
-        if lut is None:
-            lut = _BroadcastLookup(ray.get(ref), right_key, cols)
-            _BROADCAST_LOOKUPS[ref_key] = lut
-        return lut(batch, left_key)
+        return worker_cached(cache_key, lambda: Enricher(
+            ray.get(ref), left_key, None, lookup_key=right_key,
+            columns=cols))(batch)
 
     return ds.map_batches(enrich, batch_format="pyarrow",
                           zero_copy_batch=True)

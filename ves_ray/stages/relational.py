@@ -165,6 +165,7 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
 
     import ray.data as rd
 
+    from ..sources.sequences import read_parquet_sized
     from ..state import fs as vfs
 
     if scratch_dir is None and filesystem is None:
@@ -186,7 +187,7 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
                                        schema_types))).empty_table()
             return lambda columns=None: rd.from_arrow(
                 empty.select(columns) if columns else empty)
-        return lambda columns=None: rd.read_parquet(
+        return lambda columns=None: read_parquet_sized(
             files, filesystem=spill_fs, columns=columns)
 
     ls, rs = left_ds.schema(), right_ds.schema()

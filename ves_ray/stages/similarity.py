@@ -267,9 +267,9 @@ def ivf_topk_indexed(index_dir: str, queries: np.ndarray, *, k: int = 10,
     cells never leave storage). ``index_dir``/``filesystem`` resolve
     through the ``state.fs`` seam, matching :func:`build_ivf_index`."""
     import pyarrow.parquet as pq
-    import ray.data as rd
     from ray.data.datasource.partitioning import PathPartitionFilter
 
+    from ..sources.sequences import read_parquet_sized
     from ..state import fs as vfs
 
     f, root = vfs.resolve_fs(index_dir, filesystem)
@@ -284,8 +284,8 @@ def ivf_topk_indexed(index_dir: str, queries: np.ndarray, *, k: int = 10,
     # out at path-resolution time and never read
     pf = PathPartitionFilter.of(lambda p: int(p["cell"]) in wanted,
                                 style="hive")
-    sub = rd.read_parquet(vfs.join(root, "cells"), filesystem=f,
-                          partition_filter=pf, columns=[id_col, vec_col])
+    sub = read_parquet_sized(vfs.join(root, "cells"), filesystem=f,
+                             partition_filter=pf, columns=[id_col, vec_col])
     return brute_force_topk(sub, q, k=k, id_col=id_col, vec_col=vec_col)
 
 
@@ -398,9 +398,9 @@ def lsh_topk_indexed(index_dir: str, queries: np.ndarray, *, k: int = 10,
     reads, never a rescan). ``index_dir``/``filesystem`` resolve
     through the ``state.fs`` seam, matching :func:`build_lsh_index`."""
     import pyarrow.parquet as pq
-    import ray.data as rd
     from ray.data.datasource.partitioning import PathPartitionFilter
 
+    from ..sources.sequences import read_parquet_sized
     from ..state import fs as vfs
 
     f, root = vfs.resolve_fs(index_dir, filesystem)
@@ -416,8 +416,8 @@ def lsh_topk_indexed(index_dir: str, queries: np.ndarray, *, k: int = 10,
                                   n_planes, multi_probe)
     pf = PathPartitionFilter.of(lambda p: int(p["bucket"]) in wanted,
                                 style="hive")
-    sub = rd.read_parquet(vfs.join(root, "buckets"), filesystem=f,
-                          partition_filter=pf, columns=[id_col, vec_col])
+    sub = read_parquet_sized(vfs.join(root, "buckets"), filesystem=f,
+                             partition_filter=pf, columns=[id_col, vec_col])
     return brute_force_topk(sub, q, k=k, id_col=id_col, vec_col=vec_col)
 
 

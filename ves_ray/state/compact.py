@@ -115,7 +115,7 @@ def compact_partitions(root: str, *, min_files: int = 2,
     {partitions, files_before, files_after}. Each partition's rewrite
     is a streaming Ray read→write (distributed within the partition);
     partitions proceed independently so interruption loses nothing."""
-    import ray.data as rd
+    from ..sources.sequences import read_parquet_sized
 
     f, p = vfs.resolve_fs(root, filesystem)
     cleanup_stale(p, f)
@@ -129,8 +129,8 @@ def compact_partitions(root: str, *, min_files: int = 2,
         tag = uuid.uuid4().hex[:8]
         tmp = vfs.join(parent, f".tmp-{tag}-{base}")
         old = vfs.join(parent, f".old-{tag}-{base}")
-        ds = rd.read_parquet([vfs.join(dirpath, fn) for fn in files],
-                             filesystem=f)
+        ds = read_parquet_sized([vfs.join(dirpath, fn) for fn in files],
+                                filesystem=f)
         ds.write_parquet(tmp, min_rows_per_file=min_rows_per_file,
                          compression=compression, filesystem=f)
         vfs.move(f, dirpath, old)

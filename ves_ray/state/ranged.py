@@ -168,6 +168,8 @@ def range_scan(path: str, lo: int, hi: int, *,
     import pyarrow.dataset as pds
     import ray.data as rd
 
+    from ..sources.sequences import read_parquet_sized
+
     f, p = vfs.resolve_fs(path, filesystem)
     man = read_manifest(p, f)
     value_col = man["value_col"]
@@ -184,5 +186,5 @@ def range_scan(path: str, lo: int, hi: int, *,
              for fn in vfs.listdir(f, vfs.join(p, f"range_part={k}"))
              if fn.endswith(".parquet")]
     expr = (pds.field(value_col) >= lo) & (pds.field(value_col) <= hi)
-    return rd.read_parquet(files, columns=cols, filter=expr,
-                           filesystem=f)
+    return read_parquet_sized(files, columns=cols, filter=expr,
+                              filesystem=f)
