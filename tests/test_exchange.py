@@ -103,6 +103,18 @@ def test_exchange_small_blocks_never_split_a_key():
         ctx.target_max_block_size = old
 
 
+def test_exchange_under_a_small_dataset_target():
+    """An input whose own context targets 4 KiB blocks (what a sized
+    read sets) still gets one kernel call per partition and no key in
+    two calls, and equals map_groups: the sort's reduce merges each
+    partition into one block whatever the target."""
+    keys = np.random.default_rng(13).integers(0, 2_000, 20_000)
+    ds = _dataset(keys, blocks=16)
+    ds.context.target_max_block_size = 4 * 1024
+    assert rd.DataContext.get_current().target_max_block_size > 4 * 1024
+    assert _check_same_as_map_groups(ds, 64) == num_partitions(ds, 64)
+
+
 def test_exchange_multi_key_and_pandas():
     """Two keys combine their hashes; a pandas kernel sees whole
     (a, b) groups and never the bucket column."""

@@ -352,8 +352,8 @@ def test_stage_metrics_emitted(tmp_path):
     nbytes = sum(os.path.getsize(f) for f in paths)
     blocks = read_blocks(nbytes)
     # 4 blocks, 4 read tasks share the reader's in-memory estimate
-    est = FragmentDatasource(sorted(paths), pafs.LocalFileSystem()) \
-        .estimate_inmemory_data_size()
+    est = FragmentDatasource(sorted(paths), pafs.LocalFileSystem(),
+                             with_path=True).estimate_inmemory_data_size()
     read = {"bytes": nbytes, "blocks": blocks,
             "block_bytes": block_bytes(est, 4)}
     assert shard["read"] == read

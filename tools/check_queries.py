@@ -25,6 +25,7 @@ tasks run on every node, so point it at a mount every node sees.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -113,23 +114,38 @@ def sink_compare(con, ds, sql: str,
         shutil.rmtree(sink, ignore_errors=True)
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line of the module docstring. Exits non-zero with a
+    message when ``sf_dir`` is not a directory or a query name is not
+    in the catalog."""
+    ap = argparse.ArgumentParser(
+        description="Run queries() entries and check each against its "
+                    "DuckDB oracle_sql().")
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.001",
+                    help="directory of the catalog's <table>.parquet files")
+    ap.add_argument("queries", nargs="*", metavar="query",
+                    help="catalog entries to check (default: all)")
+    ap.add_argument("--json", metavar="OUT",
+                    help="write a per-query record to OUT")
+    ap.add_argument("--from-sink", action="store_true",
+                    help="hash Dataset results from a Parquet sink")
+    ap.add_argument("--sink-dir", metavar="DIR",
+                    help="where the --from-sink sinks are made")
+    args = ap.parse_intermixed_args(argv)
+    if not os.path.isdir(args.sf_dir):
+        ap.error(f"sf_dir {args.sf_dir!r} is not a directory")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import __ray_entry__ as e
+    unknown = sorted(set(args.queries) - set(e.queries()))
+    if unknown:
+        ap.error(f"not in the catalog: {', '.join(unknown)}")
+    return args
+
+
 def main() -> int:
-    argv = list(sys.argv[1:])
-    json_out = None
-    if "--json" in argv:
-        i = argv.index("--json")
-        json_out = argv[i + 1]
-        del argv[i:i + 2]
-    from_sink = "--from-sink" in argv
-    if from_sink:
-        argv.remove("--from-sink")
-    sink_dir = None
-    if "--sink-dir" in argv:
-        i = argv.index("--sink-dir")
-        sink_dir = argv[i + 1]
-        del argv[i:i + 2]
-    sf_dir = argv[0] if argv else "/root/testdata/sf0.001"
-    only = set(argv[1:])
+    args = parse_args()
+    json_out, from_sink, sink_dir = args.json, args.from_sink, args.sink_dir
+    sf_dir, only = args.sf_dir, set(args.queries)
 
     import ray
     ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -137,7 +153,6 @@ def main() -> int:
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     con = duckdb.connect()

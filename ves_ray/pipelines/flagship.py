@@ -101,9 +101,9 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
-from ..sources.sequences import (FragmentDatasource, block_bytes,
-                                 expand_paths, read_blocks,
-                                 read_parquet_sized)
+from ..sources.sequences import (FragmentDatasource, expand_paths,
+                                 read_blocks, read_parquet_sized,
+                                 set_block_target)
 from ..stages.enrich import Enricher, _as_table, cached_enricher
 from ..stages.parse import parse_batch
 from ..stages.route import hot_route_salts, make_salter
@@ -454,12 +454,12 @@ class FlagshipPipeline:
         blocks = read_blocks(nbytes, sum(f.num_rows for f in frags),
                              self.min_rows_per_file
                              if self.enrich_mode == "task" else None)
-        source = FragmentDatasource([f.path for f in frags], self.fs)
+        source = FragmentDatasource([f.path for f in frags], self.fs,
+                                    with_path=True)
         ds = rd.read_datasource(source, override_num_blocks=blocks)
-        size = block_bytes(source.estimate_inmemory_data_size(),
-                           len(source.get_read_tasks(blocks)))
-        # the shard Dataset's own copy of the context, not the session's
-        ds.context.target_max_block_size = size
+        # over read tasks, not blocks: the write needs a task per block
+        size = set_block_target(ds, source.estimate_inmemory_data_size(),
+                                len(source.get_read_tasks(blocks)))
         return ds, {"bytes": nbytes, "blocks": blocks, "block_bytes": size}
 
     def build_routed_dataset(self, frags):

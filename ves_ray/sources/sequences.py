@@ -3,12 +3,14 @@
 ``FragmentDatasource`` is the engine's read side, the batch analogue
 of the reference's watcher+tailer chain (discover files → tail chunks,
 components/core-agent/src/watcher/discovery.rs:18-49,
-src/tailer/tailer.rs:43-59): it reads a shard's fragments, whole files
-or ``"<file>#rg<a>-<b>"`` row-group ranges, as contiguous runs of row
-groups balanced by rows, and streams one Arrow table per row group
-with the fragment id (the inode analogue) as its ``path`` column for
-lineage/checkpointing. ``read_blocks`` and ``block_bytes`` are the
-sizing rule every sized read shares.
+src/tailer/tailer.rs:43-59): it reads fragments, whole files or
+``"<file>#rg<a>-<b>"`` row-group ranges, as contiguous runs of row
+groups balanced by rows, and streams one Arrow table per row group;
+the flagship adds the fragment id (the inode analogue) as a ``path``
+column for lineage/checkpointing. It serves the flagship's shards and
+every plain catalog read (``read_parquet_sized``). ``read_blocks``,
+``block_bytes`` and ``set_block_target`` are the sizing rule every
+sized read shares.
 
 ``documents_as_sequences`` adapts the driver testdata ``documents``
 table (doc_id:int, text, lang, source, n_chars) into the sequences
@@ -97,21 +99,33 @@ def source_bytes(ds) -> int:
                if not op.input_dependencies)
 
 
-def block_bytes(nbytes: int, tasks: int) -> int | None:
-    """The block size a sized read's plan implies: ``nbytes`` over its
-    ``tasks`` read tasks, capped at the session's
-    ``DataContext.target_max_block_size`` (the cap itself when
-    ``nbytes`` is unknown, 0).
+def block_bytes(nbytes: int, n: int) -> int | None:
+    """The block size a sized read's plan implies: ``nbytes`` over
+    ``n``, capped at the session's ``DataContext.target_max_block_size``
+    (the cap itself when ``nbytes`` is unknown, 0).
 
-    Set on a Dataset's own ``ds.context``, it sizes Ray Data's guess of
-    a task's output before the first task reports (2 × the target), so
-    every CPU starts in the first wave (NOTES.md "A shard's first
-    wave"); below the cap Ray's read planning adds no split for it."""
+    Set on a read Dataset's own ``ds.context`` (``set_block_target``),
+    it sizes Ray Data's guess of a task's output before the first task
+    reports (2 × the target), so every CPU starts in the first wave
+    (NOTES.md "A read's first wave"). A catalog read divides by its
+    ``read_blocks`` count, so Ray splits its one-row-group files into
+    that many blocks inside the read task, and the read fuses with the
+    map after it; the flagship divides by its read tasks, so its read
+    planning adds no split and each block keeps its own write task."""
     from ray.data import DataContext
     target = DataContext.get_current().target_max_block_size
     if not nbytes or target is None:
         return target
-    return min(target, -(-int(nbytes) // tasks))
+    return min(target, -(-int(nbytes) // n))
+
+
+def set_block_target(ds, nbytes: int, n: int) -> int | None:
+    """Set ``ds``'s own ``target_max_block_size`` (the Dataset's copy of
+    the context; the session's is untouched) to ``block_bytes(nbytes,
+    n)``, and return it."""
+    size = block_bytes(nbytes, n)
+    ds.context.target_max_block_size = size
+    return size
 
 
 def input_bytes(path_or_paths, filesystem=None) -> int:
@@ -137,14 +151,42 @@ def input_bytes(path_or_paths, filesystem=None) -> int:
 
 def read_parquet_sized(path_or_paths, *, nbytes: int | None = None,
                        filesystem=None, **kw):
-    """``ray.data.read_parquet`` with its block count set by
-    ``read_blocks``. ``nbytes`` skips the size listing when the caller
-    already knows the input's size (a checkpoint manifest does)."""
+    """Parquet as a Dataset of ``read_blocks(nbytes)`` blocks, its own
+    target set to its in-memory estimate over those blocks
+    (``set_block_target``). ``nbytes`` skips the size listing when the
+    caller already knows the input's size (a checkpoint manifest does).
+
+    A plain read, a file or a list of files with no keyword but
+    ``columns=`` and no ``=`` (a hive ``key=value`` segment) in any
+    path, goes through ``FragmentDatasource``: its estimate comes from
+    the footers, so planning runs no sampling task. Directories, hive
+    file lists (whose partition columns ``read_parquet`` adds) and
+    filtered reads go through ``ray.data.read_parquet``, estimated by
+    ``source_bytes``."""
     import ray.data as rd
+
+    from ..state import fs as vfs
     if nbytes is None:
         nbytes = input_bytes(path_or_paths, filesystem)
-    return rd.read_parquet(path_or_paths, filesystem=filesystem,
-                           override_num_blocks=read_blocks(nbytes), **kw)
+    blocks = read_blocks(nbytes)
+    paths = ([path_or_paths] if isinstance(path_or_paths, str)
+             else list(path_or_paths))
+    resolved = [vfs.resolve_fs(p, filesystem) for p in paths]
+    plain = (resolved and set(kw) <= {"columns"}
+             and not any("=" in p for _, p in resolved)
+             and not (isinstance(path_or_paths, str)
+                      and vfs.is_dir(*resolved[0])))
+    if plain:
+        source = FragmentDatasource([p for _, p in resolved],
+                                    resolved[0][0], columns=kw.get("columns"))
+        ds = rd.read_datasource(source, override_num_blocks=blocks)
+        estimate = source.estimate_inmemory_data_size()
+    else:
+        ds = rd.read_parquet(path_or_paths, filesystem=filesystem,
+                             override_num_blocks=blocks, **kw)
+        estimate = source_bytes(ds)
+    set_block_target(ds, estimate, blocks)
+    return ds
 
 
 # Arrow bytes per value of Parquet's fixed-width physical types
@@ -152,14 +194,15 @@ _WIDTHS = {"BOOLEAN": 1, "INT32": 4, "INT64": 8, "INT96": 12,
            "FLOAT": 4, "DOUBLE": 8}
 
 
-def _row_group_bytes(md, rg: int) -> int:
-    """In-memory Arrow size of row group ``rg`` from the footer ``md``:
-    fixed-width leaves as values × width, byte arrays at their
-    uncompressed size, plus 4 B of offsets per row for each byte-array
-    and each list column (``total_byte_size`` under-counts by a third:
-    dictionary pages hold each distinct value once)."""
+def _row_group_bytes(md, rg: int, leaves) -> int:
+    """In-memory Arrow size of the ``leaves`` (leaf column indices) of
+    row group ``rg`` from the footer ``md``: fixed-width leaves as
+    values × width, byte arrays at their uncompressed size, plus 4 B of
+    offsets per row for each byte-array and each list column
+    (``total_byte_size`` under-counts by a third: dictionary pages hold
+    each distinct value once)."""
     group, total = md.row_group(rg), 0
-    for i in range(group.num_columns):
+    for i in leaves:
         col, leaf = group.column(i), md.schema.column(i)
         if col.physical_type == "BYTE_ARRAY":
             total += col.total_uncompressed_size + 4 * group.num_rows
@@ -171,28 +214,36 @@ def _row_group_bytes(md, rg: int) -> int:
     return total
 
 
-def _read_row_groups(filesystem, units):
+def _read_row_groups(filesystem, units, columns, with_path):
     """A read task: each ``(file, row group, fragment id)`` unit as its
-    own table, with the fragment id as ``path``."""
+    own table of ``columns`` (all when None), with the fragment id as
+    ``path`` when ``with_path``."""
     from ..state import fs as vfs
     pf = path = None
     for file, rg, fid in units:
         if file != path:
             pf, path = vfs.open_parquet(filesystem, file), file
-        table = pf.read_row_group(rg)
-        yield table.append_column(
+        table = pf.read_row_group(rg, columns=columns)
+        yield (table.append_column(
             "path", pa.array([fid] * len(table), pa.string()))
+            if with_path else table)
 
 
 class FragmentDatasource(Datasource):
-    """A shard's fragments, files or ``"<file>#rg<a>-<b>"`` units (row
-    groups ``[a, b)``), as a Ray Data source. ``get_read_tasks(n)``
-    cuts their row groups, in order, into ``min(n, row groups)``
-    contiguous runs of about equal rows; a task streams its run, one
-    table per row group. Sizes come from the footers, read once on the
-    driver. The name keeps the operator ``ReadParquet``."""
+    """Fragments, files or ``"<file>#rg<a>-<b>"`` units (row groups
+    ``[a, b)``), as a Ray Data source: the flagship's shard read and
+    every plain catalog read (``read_parquet_sized``).
+    ``get_read_tasks(n)`` cuts their row groups, in order, into
+    ``min(n, row groups)`` contiguous runs of about equal rows; a task
+    streams its run, one table per row group, of ``columns`` (all when
+    None), plus the fragment id as ``path`` when ``with_path`` (the
+    flagship's lineage). Sizes come from the footers, read once on the
+    driver, and count only the projected columns. Files without any
+    row group give one task of a typed empty table. The name keeps the
+    operator ``ReadParquet``."""
 
-    def __init__(self, fragment_ids: list[str], filesystem):
+    def __init__(self, fragment_ids: list[str], filesystem, *,
+                 columns: list[str] | None = None, with_path: bool = False):
         from concurrent.futures import ThreadPoolExecutor
 
         from ..state import fs as vfs
@@ -202,17 +253,26 @@ class FragmentDatasource(Datasource):
         with ThreadPoolExecutor(max_workers=min(32, len(files) or 1)) as pool:
             footers = dict(zip(files, pool.map(
                 lambda p: vfs.open_parquet(filesystem, p).metadata, files)))
-        self._filesystem = filesystem
+        self._filesystem, self._columns = filesystem, columns
+        self._with_path = with_path
         self._units, self._rows, self._bytes = [], [], []
         for fid, (file, start, end) in zip(fragment_ids, parsed):
             md = footers[file]
+            leaves = [i for i in range(md.num_columns) if columns is None
+                      or md.schema.column(i).path.split(".")[0] in columns]
             for rg in range(start or 0, end or md.num_row_groups):
                 rows = md.row_group(rg).num_rows
                 self._units.append((file, rg, fid))
                 self._rows.append(rows)
                 # plus the path column's characters and offsets
-                self._bytes.append(_row_group_bytes(md, rg)
-                                   + rows * (len(fid.encode()) + 4))
+                self._bytes.append(_row_group_bytes(md, rg, leaves) + (
+                    rows * (len(fid.encode()) + 4) if with_path else 0))
+        self._empty = None
+        if files and not self._units:
+            empty = footers[files[0]].schema.to_arrow_schema().empty_table()
+            empty = empty.select(columns) if columns is not None else empty
+            self._empty = (empty.append_column(
+                "path", pa.array([], pa.string())) if with_path else empty)
 
     def get_name(self) -> str:
         return "Parquet"
@@ -221,6 +281,11 @@ class FragmentDatasource(Datasource):
         return sum(self._bytes)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        if self._empty is not None:
+            return [ReadTask(functools.partial(iter, [self._empty]),
+                             BlockMetadata(num_rows=0, size_bytes=0,
+                                           input_files=None, exec_stats=None),
+                             schema=self._empty.schema)]
         n, cum = min(parallelism, len(self._units)), np.cumsum(self._rows)
         bounds = [0]
         for j in range(1, n):
@@ -235,7 +300,8 @@ class FragmentDatasource(Datasource):
         bounds.append(len(self._units))
         return [ReadTask(
             functools.partial(_read_row_groups, self._filesystem,
-                              self._units[a:b]),
+                              self._units[a:b], self._columns,
+                              self._with_path),
             BlockMetadata(num_rows=sum(self._rows[a:b]),
                           size_bytes=sum(self._bytes[a:b]),
                           input_files=sorted({u[0] for u in self._units[a:b]}),

@@ -86,9 +86,13 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
     ``kernel`` takes one batch in ``batch_format`` ("pyarrow" or
     "pandas") holding whole keys, never the bucket column, and returns
     a batch; it is not called for a partition that receives no rows.
-    The partition count is :func:`num_partitions`: an input larger
-    than ``CPUs × target_max_block_size`` gets more partitions than
-    CPUs, up to ``num_buckets``; beyond ``num_buckets ×
+    Each partition reaches it as one call, whatever the input's
+    ``target_max_block_size`` (a sized read sets a small one on its own
+    Dataset): the sort's reduce (``SortTaskSpec.reduce``) merges a
+    partition into one block, and ``batch_size=None`` makes each block
+    one batch. The partition count is :func:`num_partitions`: an input
+    larger than ``CPUs × target_max_block_size`` gets more partitions
+    than CPUs, up to ``num_buckets``; beyond ``num_buckets ×
     target_max_block_size`` a partition grows past one block, so such
     inputs need a larger ``num_buckets``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
