@@ -1,8 +1,11 @@
 """stages.exchange.bucket_exchange: the same result as a per-bucket
 ``map_groups`` for a key-local kernel, one kernel call per partition,
-and no key split across calls. Plus the plan shape of the six
-exchange-bound catalog queries: no schema-probe executions."""
+and no key split across calls; its plans run without Ray Data's
+per-operator CPU reservation, on their own context only. Plus the plan
+shape of the six exchange-bound catalog queries: no schema-probe
+executions."""
 
+import time
 import uuid
 
 import numpy as np
@@ -135,6 +138,62 @@ def test_exchange_multi_key_and_pandas():
     assert got.equals(exp)
 
 
+def test_exchange_kernels_overlap_in_a_plan_wider_than_the_cpus():
+    """Five sides, each with its own map, into an exchange whose kernel
+    sleeps 0.2 s, then a second exchange over its output (a join after
+    an aggregate, as in ``region_revenue``): more map operators than
+    the 4 CPUs. With Ray Data's per-operator reservation each pending
+    map operator held one CPU, so the first kernel's calls ran one at a
+    time; on the exchange's own context they overlap. The result still
+    equals map_groups."""
+    rng = np.random.default_rng(17)
+    tables = [pa.table({"k": rng.integers(0, 300, 2_000),
+                        "v": rng.integers(0, 9, 2_000)}) for _ in range(5)]
+    sides = [rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+             for t in tables]
+
+    def sleepy(t: pa.Table) -> pa.Table:
+        t0 = time.time()
+        time.sleep(0.2)
+        g = _per_key(t).drop_columns(["call"])
+        return (g.append_column("t0", pa.array([t0] * len(g)))
+                .append_column("t1", pa.array([time.time()] * len(g))))
+
+    got = (bucket_exchange(bucket_exchange(sides, "k", sleepy), "k",
+                           lambda t: t)
+           .to_pandas().sort_values("k", ignore_index=True))
+    calls = got.drop_duplicates(["t0", "t1"]).sort_values("t0")
+    assert len(calls) == num_partitions(sides, 64) == 4
+    starts, ends = calls["t0"].to_numpy(), calls["t1"].to_numpy()
+    assert (starts[1:] < ends[:-1]).any(), calls
+    exp = (rd.from_arrow(tables).groupby("k")
+           .map_groups(_per_key, batch_format="pyarrow")
+           .to_pandas().sort_values("k", ignore_index=True))
+    assert got["k"].is_unique
+    assert got[["k", "n", "v"]].equals(exp[["k", "n", "v"]])
+
+
+def test_exchange_turns_the_reservation_off_on_its_own_context():
+    """A join's exchange gets a fresh context (``union`` copies it), so
+    its sides and the session keep the reservation; a single-side
+    exchange shares its input's context object, so the input's later
+    plans run without the reservation too."""
+    ctx = rd.DataContext.get_current()
+    assert ctx.op_resource_reservation_enabled
+    keys = np.random.default_rng(19).integers(0, 100, 1_000)
+    sides = [_dataset(keys, blocks=2), _dataset(keys, blocks=2)]
+    joined = bucket_exchange(sides, "k", _per_key)
+    assert not joined.context.op_resource_reservation_enabled
+    assert all(s.context.op_resource_reservation_enabled for s in sides)
+    single = _dataset(keys, blocks=2)
+    out = bucket_exchange(single, "k", _per_key)
+    assert out.context is single.context
+    assert not single.context.op_resource_reservation_enabled
+    assert rd.DataContext.get_current() is ctx
+    assert ctx.op_resource_reservation_enabled
+    assert _dataset(keys).context.op_resource_reservation_enabled
+
+
 EXCHANGE_QUERIES = ["user_sessions", "event_sessions", "dedup_exact",
                     "dedup_keep", "order_revenue", "region_revenue"]
 
@@ -181,3 +240,44 @@ def test_exchange_queries_run_no_schema_probe(name, sf_dir, monkeypatch):
     assert len(out) > 0
     assert executed
     assert not any(isinstance(o, Limit) for d in executed for o in ops(d))
+
+
+def test_reservation_off_in_exchange_plans_only(sf_dir, tmp_path,
+                                                monkeypatch):
+    """Of the plans the six exchange-bound queries execute, exactly those
+    that run an exchange kernel run without the reservation, and the
+    session DataContext is unchanged after each query; a flagship
+    shard's write plan (no exchange) keeps the reservation's budgets."""
+    from ray.data._internal.execution.resource_manager import ResourceManager
+
+    from ves_ray.fixtures import make_sources_table, write_sequences
+    from ves_ray.pipelines.flagship import FlagshipPipeline
+    from ves_ray.pipelines.queries import QUERIES
+
+    executed = []
+    init = ResourceManager.__init__
+
+    def recording(rm, topology, *a, **kw):
+        init(rm, topology, *a, **kw)
+        executed.append((" ".join(op.name for op in topology),
+                         rm.op_resource_allocator_enabled()))
+
+    monkeypatch.setattr(ResourceManager, "__init__", recording)
+    ctx = rd.DataContext.get_current()
+    for name in EXCHANGE_QUERIES:
+        out = QUERIES[name](sf_dir)
+        if isinstance(out, rd.Dataset):
+            out.to_pandas()
+        assert rd.DataContext.get_current() is ctx
+        assert ctx.op_resource_reservation_enabled, name
+    # dedup_keep runs no exchange: its pairs come from a map_groups site
+    assert sum("exchange_kernel" in ops for ops, _ in executed) >= 5
+    assert all(on != ("exchange_kernel" in ops) for ops, on in executed)
+
+    executed.clear()
+    in_dir = str(tmp_path / "in")
+    write_sequences(in_dir, seed=5, n_rows=400, n_files=2)
+    FlagshipPipeline(in_dir, make_sources_table(), str(tmp_path / "out")).run()
+    writes = [on for ops, on in executed if "Write" in ops]
+    assert writes and all(writes)
+    assert ctx.op_resource_reservation_enabled

@@ -94,7 +94,20 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
     larger than ``CPUs × target_max_block_size`` gets more partitions
     than CPUs, up to ``num_buckets``; beyond ``num_buckets ×
     target_max_block_size`` a partition grows past one block, so such
-    inputs need a larger ``num_buckets``."""
+    inputs need a larger ``num_buckets``.
+
+    The output's own context turns off Ray Data's per-operator resource
+    reservation (``op_resource_reservation_enabled``): it holds one
+    task's CPU per operator in topology order, so a plan of more map
+    operators than CPUs ran each operator one task at a time. Now any
+    operator may take any free CPU, and Ray core still caps the total
+    at the live CPUs; the reservation's object-store budget Ray already
+    lifts for every operator that feeds a sort (NOTES.md "One CPU per
+    operator"). The session ``DataContext`` is untouched. A join's
+    ``union`` copies the context, so the setting lands on a fresh one;
+    a single-side exchange shares its input Dataset's context object
+    (Ray's plan copy is shallow), so later plans built from that same
+    input run without the reservation too."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     p = num_partitions(ds, num_buckets)
 
@@ -121,6 +134,8 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
 
     # batch_size=None: one call per sort output block, which is one
     # whole partition (the sort's reduce merges it into one block)
-    return shuffled.map_batches(exchange_kernel, batch_size=None,
-                                batch_format=batch_format,
-                                zero_copy_batch=batch_format == "pyarrow")
+    out = shuffled.map_batches(exchange_kernel, batch_size=None,
+                               batch_format=batch_format,
+                               zero_copy_batch=batch_format == "pyarrow")
+    out.context.op_resource_reservation_enabled = False
+    return out
