@@ -1,20 +1,27 @@
 """stages.exchange.bucket_exchange: the same result as a per-bucket
 ``map_groups`` for a key-local kernel, one kernel call per partition,
 and no key split across calls; its plans run without Ray Data's
-per-operator CPU reservation, on their own context only. Plus the plan
-shape of the six exchange-bound catalog queries: no schema-probe
-executions."""
+per-operator CPU reservation, on their own context only, and a join's
+reads keep their own block targets. ``exchange_groups``: one call per
+whole group, the same result as ``map_groups``, and the only per-group
+path in the package. Plus the plan shape of the six exchange-bound
+catalog queries: no schema-probe executions."""
 
+import pathlib
+import re
 import time
 import uuid
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray
 import ray.data as rd
-from ves_ray.stages.exchange import _bucket_of, bucket_exchange, num_partitions
+from ves_ray.stages.exchange import (_bucket_of, bucket_exchange,
+                                    exchange_groups, num_partitions)
 
 
 def _per_key(t: pa.Table) -> pa.Table:
@@ -270,8 +277,7 @@ def test_reservation_off_in_exchange_plans_only(sf_dir, tmp_path,
             out.to_pandas()
         assert rd.DataContext.get_current() is ctx
         assert ctx.op_resource_reservation_enabled, name
-    # dedup_keep runs no exchange: its pairs come from a map_groups site
-    assert sum("exchange_kernel" in ops for ops, _ in executed) >= 5
+    assert sum("exchange_kernel" in ops for ops, _ in executed) >= 6
     assert all(on != ("exchange_kernel" in ops) for ops, on in executed)
 
     executed.clear()
@@ -281,3 +287,142 @@ def test_reservation_off_in_exchange_plans_only(sf_dir, tmp_path,
     writes = [on for ops, on in executed if "Write" in ops]
     assert writes and all(writes)
     assert ctx.op_resource_reservation_enabled
+
+
+def test_join_reads_keep_their_own_block_target(tmp_path):
+    """A join's plan runs under the union's context, a copy of the first
+    side's: the exchange gives it the largest side's block target, so
+    the right read (16x the left) leaves its fused task as no more
+    blocks than its own ``read_blocks``, not as the 64 blocks of the
+    left's target."""
+    import pyarrow.parquet as pq
+
+    from ves_ray.sources.sequences import read_blocks, read_parquet_sized
+
+    paths = []
+    for name, n in (("left", 2_000), ("right", 32_000)):
+        paths.append(str(tmp_path / f"{name}.parquet"))
+        pq.write_table(pa.table({"k": np.arange(n) % 500,
+                                 "v": np.arange(n)}), paths[-1])
+    left, right = (read_parquet_sized(p) for p in paths)
+
+    def right_side(b: pa.Table) -> pa.Table:
+        return b
+
+    right = right.map_batches(right_side, batch_format="pyarrow")
+    stats = [bucket_exchange([left, right], "k", lambda t: t)
+             .materialize()._plan.stats()]
+    blocks = {}
+    while stats:
+        s = stats.pop()
+        blocks.update({op: len(m) for op, m in s.metadata.items()})
+        stats.extend(s.parents)
+    (n,) = [n for op, n in blocks.items() if "right_side" in op]
+    assert 1 <= n <= read_blocks(32_000 * 16), blocks
+
+
+def _groups_fn():
+    """Per-group fn: the group's key, rows and value sum, and a check
+    that the group is whole (the key's full row count)."""
+    def fn(g):
+        if isinstance(g, pa.Table):
+            k = g["k"].unique()
+            assert len(k) == 1
+            return pa.table({"k": k, "n": [len(g)],
+                             "v": [pc.sum(g["v"]).as_py()]})
+        assert g["k"].nunique() == 1
+        return pd.DataFrame({"k": [g["k"].iloc[0]], "n": [len(g)],
+                             "v": [int(g["v"].sum())]})
+    return fn
+
+
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+def test_exchange_groups_matches_map_groups(batch_format):
+    """Many groups per partition and one hot group: one call per whole
+    group, and the same rows as Ray's ``map_groups``."""
+    rng = np.random.default_rng(23)
+    keys = np.where(rng.random(8_000) < 0.5, 3, rng.integers(0, 700, 8_000))
+    ds = _dataset(keys)
+    got = (exchange_groups(ds, "k", _groups_fn(), batch_format=batch_format)
+           .to_pandas().sort_values("k", ignore_index=True))
+    exp = (ds.groupby("k").map_groups(_groups_fn(), batch_format=batch_format)
+           .to_pandas().sort_values("k", ignore_index=True))
+    assert got["k"].is_unique
+    assert got.equals(exp)
+    counts = np.unique(keys, return_counts=True)
+    assert got["n"].tolist() == counts[1].tolist()
+
+
+def test_exchange_groups_calls_once_per_group_never_for_empty():
+    """Every key hashes into the first of four partitions: ``fn`` runs
+    once per key, in key order within the partition, and no call
+    sees an empty batch."""
+    cand = np.arange(2_000, dtype=np.int64)
+    low = cand[_bucket_of(pa.array(cand), 64) < 16][:40]
+    ds = _dataset(np.repeat(low, 25))
+    assert num_partitions(ds, 64) == 4
+
+    def fn(g: pa.Table) -> pa.Table:
+        assert len(g) == 25 and g.column_names == ["k", "v"]
+        return pa.table({"k": g["k"].slice(0, 1), "call": [uuid.uuid4().hex]})
+
+    got = exchange_groups(ds, "k", fn, batch_format="pyarrow").to_pandas()
+    assert len(got) == got["call"].nunique() == 40
+    assert got["k"].tolist() == sorted(low.tolist())
+
+
+def test_exchange_groups_two_sides_multi_key_nulls():
+    """A list of sides is unioned before the exchange; a group spans
+    both sides and two keys, and null keys form one group."""
+    t = pa.table({"a": pa.array([1, 1, None, None, 2, 1], pa.int64()),
+                  "b": ["x", "y", "x", "x", "x", "x"],
+                  "v": [1, 2, 3, 4, 5, 6]})
+    sides = [rd.from_arrow(t.slice(0, 3)), rd.from_arrow(t.slice(3))]
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"a": g["a"].iloc[:1], "b": g["b"].iloc[:1],
+                             "v": [int(g["v"].sum())]})
+
+    got = exchange_groups(sides, ["a", "b"], fn, batch_format="pandas") \
+        .to_pandas()
+    got = {(None if pd.isna(a) else int(a), b): v
+           for a, b, v in got.itertuples(index=False)}
+    assert got == {(1, "x"): 7, (1, "y"): 2, (None, "x"): 7, (2, "x"): 5}
+
+
+def test_dedup_keep_runs_a_bucket_exchange(sf_dir, monkeypatch):
+    """``dedup_keep``'s pairs come from ``exchange_groups``: its plans
+    run ``MapBatches(exchange_kernel)`` and Ray's sort never samples
+    its boundaries (no ``_sample_block`` task)."""
+    from ray.data._internal.execution.resource_manager import ResourceManager
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+    from ves_ray.pipelines.queries import QUERIES
+
+    ops, sampled = [], []
+    init, sample = ResourceManager.__init__, SortTaskSpec.sample_boundaries
+
+    def recording(rm, topology, *a, **kw):
+        init(rm, topology, *a, **kw)
+        ops.extend(op.name for op in topology)
+
+    def sampling(*a, **kw):
+        sampled.append(a)
+        return sample(*a, **kw)
+
+    monkeypatch.setattr(ResourceManager, "__init__", recording)
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", sampling)
+    assert len(QUERIES["dedup_keep"](sf_dir)) > 0
+    assert any("MapBatches(exchange_kernel)" in op for op in ops), ops
+    assert not sampled
+
+
+def test_no_map_groups_in_the_package():
+    """``exchange_groups`` is the one per-group path: no module of the
+    package calls Ray's ``map_groups``."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "ves_ray"
+    calls = [f"{p.relative_to(root)}:{i}"
+             for p in root.rglob("*.py")
+             for i, line in enumerate(p.read_text().splitlines(), 1)
+             if re.search(r"\.map_groups\(", line)]
+    assert not calls

@@ -21,12 +21,16 @@ SUM(hash(ROW(...))) — order-insensitive, exact (HUGEINT sum).
 --sink-dir: the directory the --from-sink temp sinks are made under
 (default: the driver's temp dir). On a multi-node cluster the write
 tasks run on every node, so point it at a mount every node sees.
+
+Each record counts Ray Data's "RefBundle with a different schema"
+warnings (``schema_warnings``); the last line printed sums them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import os
 import sys
 import time
@@ -114,6 +118,16 @@ def sink_compare(con, ds, sql: str,
         shutil.rmtree(sink, ignore_errors=True)
 
 
+class SchemaWarnings(logging.Handler):
+    """Counts Ray Data's "different schema" warnings (the streaming
+    executor logs them in the driver, on the ``ray.data`` logger)."""
+    count = 0
+
+    def emit(self, record):
+        msg = record.getMessage()
+        self.count += "RefBundle with a different schema" in msg
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """The command line of the module docstring. Exits non-zero with a
     message when ``sf_dir`` is not a directory or a query name is not
@@ -142,9 +156,70 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
+def check_one(e, con, name: str, fn, sql: str | None, sf_dir: str,
+              from_sink: bool, sink_dir: str | None) -> dict:
+    """Run one catalog entry and check it against its oracle ``sql``
+    (None: rows only); print its line and return its record, whose
+    ``status`` is "pass", "rows_only…", "fail" or "…error"."""
+    import ray.data as rd
+    t0 = time.perf_counter()
+    try:
+        raw = fn(sf_dir)
+        if from_sink and sql is not None and isinstance(raw, rd.Dataset):
+            rec, problems = sink_compare(con, raw, sql, sink_dir)
+            dt = time.perf_counter() - t0
+            if problems:
+                print(f"FAIL  {name:22s} " + "; ".join(problems))
+                return {"status": "fail",
+                        "problems": "; ".join(problems)[:300]}
+            print(f"ok    {name:22s} rows={rec['rows']:6d} "
+                  f"({dt:.1f}s, sink-hash)")
+            return {"status": "pass", **rec, "wall_s": round(dt, 2),
+                    "protocol": "sink-hash"}
+        got = to_pandas(raw)
+    except Exception as ex:
+        print(f"FAIL  {name:22s} ray error: {ex!r}")
+        return {"status": "error", "error": repr(ex)[:300]}
+    dt = time.perf_counter() - t0
+    if sql is None:
+        inv = getattr(e, "invariants", lambda: {})().get(name)
+        if inv:
+            # the invariant ran INSIDE the query callable (an
+            # AssertionError lands in the error branch above)
+            print(f"ok*   {name:22s} rows={len(got):6d} "
+                  f"({dt:.1f}s, invariant-checked)")
+            return {"status": "rows_only+invariant", "rows": len(got),
+                    "wall_s": round(dt, 2), "invariant": inv}
+        print(f"ok*   {name:22s} rows={len(got):6d} "
+              f"({dt:.1f}s, no oracle)")
+        return {"status": "rows_only", "rows": len(got),
+                "wall_s": round(dt, 2)}
+    try:
+        exp = con.sql(sql).df()
+    except Exception as ex:
+        print(f"FAIL  {name:22s} oracle error: {ex!r}")
+        return {"status": "oracle_error", "error": repr(ex)[:300]}
+    problems = []
+    if len(got) != len(exp):
+        problems.append(f"rows {len(got)} != {len(exp)}")
+    if sorted(got.columns) != sorted(exp.columns):
+        problems.append(f"cols {sorted(got.columns)} != {sorted(exp.columns)}")
+    if not problems and value_hash(got) != value_hash(exp):
+        problems.append("value-hash mismatch")
+        a, b = canon(got), canon(exp)
+        diff = a.compare(b) if a.shape == b.shape else None
+        if diff is not None and len(diff):
+            problems.append(f"first diffs:\n{diff.head(5)}")
+    if problems:
+        print(f"FAIL  {name:22s} " + "; ".join(problems))
+        return {"status": "fail", "problems": "; ".join(problems)[:300]}
+    print(f"ok    {name:22s} rows={len(got):6d} ({dt:.1f}s)")
+    return {"status": "pass", "rows": len(got), "wall_s": round(dt, 2),
+            "value_hash": value_hash(got)}
+
+
 def main() -> int:
     args = parse_args()
-    json_out, from_sink, sink_dir = args.json, args.from_sink, args.sink_dir
     sf_dir, only = args.sf_dir, set(args.queries)
 
     import ray
@@ -152,6 +227,8 @@ def main() -> int:
              logging_level="ERROR")
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False
+    warns = SchemaWarnings()
+    logging.getLogger("ray.data").addHandler(warns)
 
     import __ray_entry__ as e
 
@@ -163,89 +240,21 @@ def main() -> int:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{sf_dir}/{t}.parquet')")
 
-    qs, oracles = e.queries(), e.oracle_sql()
-    failures = 0
-    records = {}
-    for name, fn in qs.items():
+    oracles, records = e.oracle_sql(), {}
+    for name, fn in e.queries().items():
         if only and name not in only:
             continue
-        t0 = time.perf_counter()
-        try:
-            raw = fn(sf_dir)
-            sql = oracles.get(name)
-            import ray.data as _rd
-            use_sink = (from_sink and sql is not None
-                        and isinstance(raw, _rd.Dataset))
-            if use_sink:
-                rec, problems = sink_compare(con, raw, sql, sink_dir)
-                dt = time.perf_counter() - t0
-                if problems:
-                    print(f"FAIL  {name:22s} " + "; ".join(problems))
-                    records[name] = {"status": "fail",
-                                     "problems": "; ".join(problems)[:300]}
-                    failures += 1
-                else:
-                    print(f"ok    {name:22s} rows={rec['rows']:6d} "
-                          f"({dt:.1f}s, sink-hash)")
-                    records[name] = {"status": "pass", **rec,
-                                     "wall_s": round(dt, 2),
-                                     "protocol": "sink-hash"}
-                continue
-            got = to_pandas(raw)
-        except Exception as ex:
-            print(f"FAIL  {name:22s} ray error: {ex!r}")
-            records[name] = {"status": "error", "error": repr(ex)[:300]}
-            failures += 1
-            continue
-        dt = time.perf_counter() - t0
-        if sql is None:
-            inv = getattr(e, "invariants", lambda: {})().get(name)
-            if inv:
-                # the invariant ran INSIDE the query callable (an
-                # AssertionError lands in the error branch above)
-                print(f"ok*   {name:22s} rows={len(got):6d} "
-                      f"({dt:.1f}s, invariant-checked)")
-                records[name] = {"status": "rows_only+invariant",
-                                 "rows": len(got),
-                                 "wall_s": round(dt, 2),
-                                 "invariant": inv}
-            else:
-                print(f"ok*   {name:22s} rows={len(got):6d} "
-                      f"({dt:.1f}s, no oracle)")
-                records[name] = {"status": "rows_only", "rows": len(got),
-                                 "wall_s": round(dt, 2)}
-            continue
-        try:
-            exp = con.sql(sql).df()
-        except Exception as ex:
-            print(f"FAIL  {name:22s} oracle error: {ex!r}")
-            records[name] = {"status": "oracle_error",
-                             "error": repr(ex)[:300]}
-            failures += 1
-            continue
-        problems = []
-        if len(got) != len(exp):
-            problems.append(f"rows {len(got)} != {len(exp)}")
-        if sorted(got.columns) != sorted(exp.columns):
-            problems.append(f"cols {sorted(got.columns)} != {sorted(exp.columns)}")
-        if not problems and value_hash(got) != value_hash(exp):
-            problems.append("value-hash mismatch")
-            a, b = canon(got), canon(exp)
-            diff = a.compare(b) if a.shape == b.shape else None
-            if diff is not None and len(diff):
-                problems.append(f"first diffs:\n{diff.head(5)}")
-        if problems:
-            print(f"FAIL  {name:22s} " + "; ".join(problems))
-            records[name] = {"status": "fail",
-                             "problems": "; ".join(problems)[:300]}
-            failures += 1
-        else:
-            print(f"ok    {name:22s} rows={len(got):6d} ({dt:.1f}s)")
-            records[name] = {"status": "pass", "rows": len(got),
-                             "wall_s": round(dt, 2),
-                             "value_hash": value_hash(got)}
+        warns.count = 0
+        records[name] = check_one(e, con, name, fn, oracles.get(name),
+                                  sf_dir, args.from_sink, args.sink_dir)
+        records[name]["schema_warnings"] = warns.count
     ray.shutdown()
-    if json_out:
+    failures = sum(r["status"] in ("fail", "error", "oracle_error")
+                   for r in records.values())
+    n_warn = sum(r["schema_warnings"] for r in records.values())
+    print(f"{len(records)} checked, {failures} failed, "
+          f"{n_warn} schema warnings")
+    if args.json:
         import json
         n_pass = sum(r["status"] == "pass" for r in records.values())
         n_rows_only = sum(r["status"].startswith("rows_only")
@@ -256,8 +265,9 @@ def main() -> int:
                "total": len(records), "pass": n_pass,
                "rows_only": n_rows_only,
                "fail_or_error": len(records) - n_pass - n_rows_only,
+               "schema_warnings": n_warn,
                "queries": records}
-        with open(json_out, "w") as f:
+        with open(args.json, "w") as f:
             json.dump(out, f, indent=1, sort_keys=True)
     return 1 if failures else 0
 

@@ -26,6 +26,7 @@ from ..hashing import round_half_away, sql_splitmix64
 from ..sources.sequences import documents_as_sequences, read_parquet_sized
 from ..stages import aggregate as agg
 from ..stages import dedup, parse, similarity, textstats
+from ..stages.exchange import bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
 # shared: the derived lookup for driver testdata sources ("srcK")
@@ -309,7 +310,6 @@ def q_user_running_value(sf_dir: str):
     user, running total of value cents in (ts, event_id) order. Same
     exchange shape as sessionize — one ``bucket_exchange``, one
     vectorized multi-user cumsum per partition."""
-    from ..stages.exchange import bucket_exchange
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -2074,7 +2074,7 @@ def q_value_quantiles(sf_dir: str):
                              "p25": [round(p25, 6)], "p50": [round(p50, 6)],
                              "p95": [round(p95, 6)]})
 
-    return ds.groupby("event_type").map_groups(qs, batch_format="pandas")
+    return exchange_groups(ds, "event_type", qs, batch_format="pandas")
 
 
 SQL_VALUE_QUANTILES = """
@@ -2106,8 +2106,8 @@ def q_events_hourly_ma(sf_dir: str):
                     .round(6))
         return g
 
-    return hourly.groupby("event_type").map_groups(rolling,
-                                                   batch_format="pandas")
+    return exchange_groups(hourly, "event_type", rolling,
+                           batch_format="pandas")
 
 
 SQL_EVENTS_HOURLY_MA = """

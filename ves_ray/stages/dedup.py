@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..hashing import (MASK63, U64, hash2, hash_strings, round_half_away,
                        splitmix64)
+from .exchange import bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -47,8 +48,6 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     every group is a singleton. The shuffle key is the 63-bit hash —
     uniformly distributed, no skew mitigation needed. Returns
     (content_hash, <id_col>, dup_count)."""
-    from .exchange import bucket_exchange
-
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -81,7 +80,6 @@ def exact_dedup_keep(ds, *, text_col: str = "text", id_col: str = "doc_id",
     no skew handling."""
     import pandas as pd
 
-    from .exchange import bucket_exchange
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -208,7 +206,7 @@ def _collision_key_set(keys_ds, key_col: str) -> pd.DataFrame:
 
 
 def _bucket_pair_gen(id_col: str, max_bucket: int):
-    """map_groups fn: all unique-id pairs within one colliding bucket,
+    """Per-group fn: all unique-id pairs within one colliding bucket,
     vectorized (triu indices over the sorted unique ids). Buckets over
     ``max_bucket`` are dropped — a degenerate key would otherwise emit
     O(n²) pairs."""
@@ -229,10 +227,10 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
     keys → collision detection → in-bucket pairs.
 
     Collision detection is a distributed count-aggregate over band
-    keys (block-local partials, tiny shuffle) — NOT a per-group
-    map_groups over all keys, whose per-group overhead dominates when
-    almost every bucket is a singleton. Pair generation then runs as
-    ``map_groups`` over the COLLIDING keys only (sparse), so no
+    keys (block-local partials, tiny shuffle) — NOT a per-group pass
+    over all keys, whose overhead dominates when almost every bucket is
+    a singleton. Pair generation then runs as ``exchange_groups`` over
+    the COLLIDING keys only (sparse), so no
     row-scale data ever reaches the driver; only the final pair set
     (output-scale) does. Returns a pandas DataFrame (doc_a, doc_b)."""
     import pyarrow.compute as pc
@@ -261,10 +259,9 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
 
     hits = keys.map_batches(only_collisions, batch_format="pyarrow",
                             zero_copy_batch=True)
-    out = (hits.groupby("band_key")
-               .map_groups(_bucket_pair_gen(id_col, max_bucket),
-                           batch_format="pyarrow")
-               .to_pandas())
+    out = exchange_groups(hits, "band_key",
+                          _bucket_pair_gen(id_col, max_bucket),
+                          batch_format="pyarrow").to_pandas()
     return out.drop_duplicates(ignore_index=True)
 
 
@@ -296,7 +293,7 @@ def _unpack_u64_binary(col) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verify_jaccard_bucket(pairs_ref, id_col: str, threshold: float):
-    """map_groups fn over one verification bucket: the group holds one
+    """Per-group fn over one verification bucket: the group holds one
     (doc, packed-shingles) row per candidate doc in the bucket; the
     bucket's pair sublist comes from the broadcast pair table. Exact
     set-Jaccard for every pair, fully vectorized via a sort-merge
@@ -445,11 +442,10 @@ def jaccard_pairs(ds, candidate_pairs: pd.DataFrame, *, text_col: str = "text",
 
     doc_sh = ds.map_batches(shingle_rows, batch_format="pyarrow",
                             zero_copy_batch=True)
-    out = (doc_sh.groupby("bucket")
-                 .map_groups(_verify_jaccard_bucket(pairs_ref, id_col,
-                                                    threshold),
-                             batch_format="pyarrow")
-                 .to_pandas())
+    out = exchange_groups(doc_sh, "bucket",
+                          _verify_jaccard_bucket(pairs_ref, id_col, threshold),
+                          batch_format="pyarrow",
+                          num_buckets=nbuckets).to_pandas()
     if len(out) == 0:
         return pd.DataFrame(columns=["doc_a", "doc_b", "jaccard"])
     return out.reset_index(drop=True)
@@ -610,9 +606,8 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     exploded = ds.map_batches(explode_salt_groups, batch_format="pyarrow",
                               zero_copy_batch=True)
-    out = (exploded.groupby([block_col, "s_lo", "s_hi"])
-                   .map_groups(pairs_in_group, batch_format="pyarrow")
-                   .to_pandas())
+    out = exchange_groups(exploded, [block_col, "s_lo", "s_hi"],
+                          pairs_in_group, batch_format="pyarrow").to_pandas()
     if len(out) == 0:
         return _empty_pairs()
     return out.sort_values(["doc_a", "doc_b"], ignore_index=True)
@@ -812,8 +807,6 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
     contract as the driver union-find."""
     import ray.data as rd
 
-    from .exchange import bucket_exchange
-
     def exchange(ds, key, kernel):
         return bucket_exchange(ds, key, kernel, num_buckets=num_buckets,
                                batch_format="pandas")
@@ -947,7 +940,6 @@ def fuzzy_dedup_keep_distributed(ds, edges, *, id_col: str = "doc_id",
     share a root, hence a partition, so cluster sizes are a
     per-partition groupby transform); survivors come from ONE shuffle left-join of the
     corpus ids against that table. Returns (id_col, cluster_size)."""
-    from .exchange import bucket_exchange
     from .relational import hash_join
 
     cc = connected_components_distributed(edges, num_buckets=num_buckets)
@@ -1035,7 +1027,7 @@ def simhash_band_batch(batch: pa.Table, *, id_col: str = "doc_id") -> pa.Table:
 
 
 def _verify_simhash_bucket(id_col: str, max_hamming: int, max_bucket: int):
-    """map_groups fn over one colliding simhash band bucket: pairwise
+    """Per-group fn over one colliding simhash band bucket: pairwise
     Hamming distances over the (deduped) in-bucket signatures,
     vectorized — the signature travels with the band row so no second
     corpus pass is needed."""
@@ -1069,8 +1061,8 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     Same shape as :func:`minhash_lsh_candidates`: a distributed
     count-aggregate finds colliding band keys (the vast majority are
-    singletons — never a map_groups over all keys), then verification
-    runs as ``map_groups`` over the colliding keys ONLY, each bucket
+    singletons — never a per-group pass over all keys), then verification
+    runs as ``exchange_groups`` over the colliding keys ONLY, each bucket
     vectorized. Only the verified pair set (output-scale) reaches the
     driver."""
     import pyarrow.compute as pc
@@ -1099,11 +1091,9 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         lambda b: b.filter(pc.is_in(b["ckey"],
                                     value_set=ray.get(wanted_ref))),
         batch_format="pyarrow", zero_copy_batch=True)
-    out = (hits.groupby("ckey")
-               .map_groups(_verify_simhash_bucket(id_col, max_hamming,
-                                                  max_bucket),
-                           batch_format="pyarrow")
-               .to_pandas())
+    out = exchange_groups(
+        hits, "ckey", _verify_simhash_bucket(id_col, max_hamming, max_bucket),
+        batch_format="pyarrow").to_pandas()
     return out.drop_duplicates(["doc_a", "doc_b"], ignore_index=True)
 
 
@@ -1130,8 +1120,6 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Sum
-
-    from .exchange import bucket_exchange
 
     def local_distinct(b: pa.Table) -> pa.Table:
         sh, off = _strict_shingle_hashes(b[text_col], shingle_n, 0x50C)

@@ -19,15 +19,18 @@ UDF execution ("Accelerating Python UDFs in Vectorized Query
 Execution", CIDR 2022). Why not Ray's native ``groupby().aggregate``:
 its sort-based plan is an order of magnitude slower here than partial
 aggregation plus this exchange (ROADMAP, "Measured at this
-re-anchor"). Kernels that need exactly one group per call (they read
-the group's key off its first row) stay on ``map_groups``; NOTES.md
-lists them.
+re-anchor"). A function that needs exactly one group per call (it
+reads the group's key off its first row) goes through
+``exchange_groups``, the same exchange with a kernel that cuts each
+partition into its groups.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..hashing import hash2, hash_strings, splitmix64
 
@@ -107,7 +110,9 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
     ``union`` copies the context, so the setting lands on a fresh one;
     a single-side exchange shares its input Dataset's context object
     (Ray's plan copy is shallow), so later plans built from that same
-    input run without the reservation too."""
+    input run without the reservation too. A join's plan runs under the
+    union's context, a copy of the first side's, so it gets the largest
+    side's ``target_max_block_size``, not a sized read's smaller one."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     p = num_partitions(ds, num_buckets)
 
@@ -118,7 +123,12 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
     sides = [d.map_batches(add_bucket, batch_format="pyarrow",
                            zero_copy_batch=True)
              for d in (ds if isinstance(ds, list) else [ds])]
-    bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    bucketed = sides[0]
+    if len(sides) > 1:
+        bucketed = bucketed.union(*sides[1:])
+        targets = [s.context.target_max_block_size for s in sides]
+        bucketed.context.target_max_block_size = (  # None: no limit
+            None if None in targets else max(targets))
     if p == 1:
         # an empty ``boundaries`` list means "sample" to Ray's sort
         shuffled = bucketed.repartition(1)
@@ -139,3 +149,46 @@ def bucket_exchange(ds, keys, kernel, *, num_buckets: int = 64,
                                zero_copy_batch=batch_format == "pyarrow")
     out.context.op_resource_reservation_enabled = False
     return out
+
+
+def _group_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Start row of each run of equal ``keys`` in ``t``, then
+    ``len(t)``; two nulls are equal."""
+    n = len(t)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        a, b = t[k].slice(0, n - 1), t[k].slice(1)
+        differ = pc.and_not(pc.fill_null(pc.not_equal(a, b), True),
+                            pc.and_(pc.is_null(a), pc.is_null(b)))
+        new[1:] |= differ.to_numpy(zero_copy_only=False)
+    return np.append(np.flatnonzero(new), n)
+
+
+def exchange_groups(ds, keys, fn, *, batch_format: str,
+                    num_buckets: int = 64):
+    """``fn`` once per whole group of ``keys`` over a
+    :func:`bucket_exchange` of ``ds`` (one Dataset or a list of sides):
+    what Ray's ``map_groups`` over ``keys`` returns, on the exchange's
+    plan (fixed sort boundaries, no sampling stage).
+
+    The kernel sorts its partition by ``keys``, cuts it at the runs of
+    equal keys and calls ``fn`` on each run in key order, as a
+    ``batch_format`` ("pyarrow" or "pandas") batch without the bucket
+    column, then concatenates the outputs (pandas frames lose their
+    index). ``num_buckets`` as in :func:`bucket_exchange`: a key of
+    fewer values needs no more (at one, no partition is empty)."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def per_group(t: pa.Table):
+        t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+        starts = _group_starts(t, keys)
+        batch = t.to_pandas() if batch_format == "pandas" else t
+        # a positional row slice of the table or frame
+        outs = [fn(batch[i:j]) for i, j in zip(starts, starts[1:])]
+        if isinstance(outs[0], pa.Table):
+            return pa.concat_tables(outs, promote_options="default")
+        return pd.concat([o for o in outs if len(o)] or outs[:1],
+                         ignore_index=True)
+
+    return bucket_exchange(ds, keys, per_group, num_buckets=num_buckets)

@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 
 from .dedup import content_hash_batch
-from .exchange import _bucket_of
+from .exchange import _bucket_of, exchange_groups
 from ..state import fs as vfs
 from ..state.bucketed import read_manifest, write_bucketed
 
@@ -107,8 +107,8 @@ def probe_novel(new_ds, index_path: str, *, text_col: str = "text",
 
     tagged = new_ds.map_batches(tag, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    return tagged.groupby("ibucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return exchange_groups(tagged, "ibucket", per_bucket,
+                           batch_format="pandas")
 
 
 def append_to_index(novel_ds, index_path: str, *,

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyarrow import fs as pafs
 
-from .exchange import _bucket_of, _key_hash, bucket_exchange
+from .exchange import _bucket_of, _key_hash, bucket_exchange, exchange_groups
 
 
 def _rm_spill(f: pafs.FileSystem, path: str) -> None:
@@ -317,8 +317,8 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
         return pd.merge_asof(left, right, on=ts_col, by=key_col,
                              direction="backward")
 
-    hot_out = (left_p.union(right_p).groupby("abucket")
-               .map_groups(per_bucket, batch_format="pandas"))
+    hot_out = exchange_groups([left_p, right_p], "abucket", per_bucket,
+                              batch_format="pandas")
     # repeated asof joins must not accumulate spill copies (ADVICE r4):
     # the spill lives exactly as long as the driver's ``per_bucket``.
     # The logical plan of the result, and of every Dataset derived from

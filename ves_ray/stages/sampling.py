@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
-from .exchange import bucket_exchange
+from .exchange import bucket_exchange, exchange_groups
 
 
 def stratified_sample(ds, rate_units: dict[str, int], *,
@@ -312,9 +312,9 @@ def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
     3. Per-block counts per sub-range stream to the driver —
        O(blocks × ranges) tiny rows — and an exclusive prefix sum
        gives each sub-range's starting offset (broadcast back).
-    4. One task per sub-range sorts its rows by skey and emits
-       ``pos = offset + local_rank``. The only exchange is the
-       groupby on the range key; each group carries just (id, skey).
+    4. One call per sub-range sorts its rows by skey and emits
+       ``pos = offset + local_rank``. The only exchange is on the
+       range key; each group carries just (id, skey).
 
     SQL oracle shape: ``ROW_NUMBER() OVER (ORDER BY splitmix64(id))
     - 1`` (see hashing.sql_splitmix64 for the bit-exact mirror).
@@ -357,7 +357,7 @@ def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              pos_col: pos})
 
-    return keyed.groupby("rbucket").map_groups(per_range)
+    return exchange_groups(keyed, "rbucket", per_range, batch_format="pandas")
 
 
 def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
@@ -373,7 +373,7 @@ def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
     Shape: the range key is band · 2^range_bits + top skey bits —
     numeric order IS schedule order, so the per-sub-range offsets are
     one exclusive prefix sum over the observed sub-range counts
-    (O(blocks × ranges) driver rows, never row-scale); one task per
+    (O(blocks × ranges) driver rows, never row-scale); one call per
     sub-range then sorts by skey and emits pos = offset + local rank.
     The only exchange carries (id, band, skey). Bands can be any
     non-negative int64 (quality deciles, difficulty tiers, mixture
@@ -432,4 +432,4 @@ def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
                              band_col: g[band_col].to_numpy(),
                              pos_col: pos})
 
-    return keyed.groupby("rbucket").map_groups(per_range)
+    return exchange_groups(keyed, "rbucket", per_range, batch_format="pandas")

@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .exchange import exchange_groups
+
 
 def _batch_matrix(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
@@ -293,8 +295,8 @@ def embedding_neardup_pairs(ds, *, threshold: float = 0.99,
                             block_col: str = "label",
                             id_col: str = "vec_id", vec_col: str = "embedding",
                             round_to: int | None = 6):
-    """Cosine near-dup pairs within blocking groups: groupby(block_col)
-    co-locates each block, the per-group matmul finds pairs ≥
+    """Cosine near-dup pairs within blocking groups: ``exchange_groups``
+    on block_col co-locates each block, the per-group matmul finds pairs ≥
     threshold. Block key choice (label / LSH bucket) bounds group size;
     no corpus-wide all-pairs."""
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -310,7 +312,7 @@ def embedding_neardup_pairs(ds, *, threshold: float = 0.99,
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return pd.DataFrame({"vec_a": lo, "vec_b": hi, "cos_sim": s})
 
-    return ds.groupby(block_col).map_groups(pairs, batch_format="pandas")
+    return exchange_groups(ds, block_col, pairs, batch_format="pandas")
 
 
 def grouped_centroids(ds, *, label_col: str = "label",

@@ -29,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange_groups
+
 
 def grouped_zscore_outliers(ds, *, group_col: str, value_col: str,
                             id_cols: list[str], t: int = 3):
@@ -218,7 +220,7 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
        partials → groupby over ≤ groups × bands rows). The driver
        prefix-sums to offsets = "rows of this group in smaller
        bands" and group totals, broadcast once.
-    3. one row exchange: groupby(band).map_groups — each band bucket
+    3. one row exchange: ``exchange_groups`` on band — each band bucket
        holds ≈ n/num_bands rows (bounds are global equi-depth cuts,
        so band size is independent of the group count) spanning MANY
        groups; one mergesort by (group, value) plus run-start
@@ -230,8 +232,8 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
     Exchange cost: the unavoidable row-scale bucket exchange (the
     "sort") plus two tiny metadata exchanges; per-bucket memory is
     n/num_bands — size num_bands so a bucket fits a worker. Bucketing
-    by band alone (not (group, band)) keeps the map_groups invocation
-    count at num_bands even with millions of groups. Output is
+    by band alone (not (group, band)) keeps the per-group call count
+    at num_bands even with millions of groups. Output is
     bit-identical to SQL PERCENT_RANK (same int64 pair division).
     """
     import pandas as pd
@@ -288,7 +290,7 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
                          .transform("sum").to_numpy(np.int64))
     meta_ref = ray.put(counts[[group_col, "band", "offset", "n_group"]])
 
-    # per-band metadata is indexed ONCE per map_groups task (the
+    # per-band metadata is indexed ONCE per exchange task (the
     # closure dict survives across the task's group invocations):
     # band → frame indexed by group, so the per-row offset/n_group
     # gather is one vectorized reindex — never a boolean scan of the
@@ -322,8 +324,7 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
         out["pct_rank"] = pr.astype(np.float64)
         return out
 
-    return tagged.groupby("band").map_groups(
-        rank_band, batch_format="pandas")
+    return exchange_groups(tagged, "band", rank_band, batch_format="pandas")
 
 
 def grouped_percentile_filter(ds, *, group_col: str, value_col: str,
