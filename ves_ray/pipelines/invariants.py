@@ -282,11 +282,10 @@ def check_pack_sequences(out: pd.DataFrame, sf_dir: str):
     """Token conservation: Σ pack fills == Σ input tokens (concat
     mode, drop_tail=False loses nothing); every pack ≤ max_len with
     ≥1 doc; pack_ids unique."""
-    from ray.data.aggregate import Sum
-
     from ..sources.sequences import documents_as_sequences
-    total_in = documents_as_sequences(sf_dir).aggregate(
-        Sum("n_tok", alias_name="s"))["s"]
+    from ..stages.aggregate import combine_pandas
+    total_in = combine_pandas(documents_as_sequences(sf_dir), [],
+                              {"s": ("n_tok", "sum")})["s"].iloc[0]
     total_out = int(out["n_tok"].sum())
     if total_out != int(total_in):
         _fail("pack_sequences",

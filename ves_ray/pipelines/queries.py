@@ -109,9 +109,9 @@ def q_events_hourly(sf_dir: str):
         return pa.table({"event_type": b["event_type"], "ts_hour": b["ts_hour"],
                          "value_cents": _cents(b["value"])})
     prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return agg.grouped_counts(prepped, ["event_type", "ts_hour"],
-                              sum_col="value_cents").rename_columns(
-        {"n_tok_sum": "value_cents_sum"})
+    return agg.combine(prepped, ["event_type", "ts_hour"],
+                       {"events": ([], "count_all"),
+                        "value_cents_sum": ("value_cents", "sum")})
 
 
 SQL_EVENTS_HOURLY = """
@@ -130,14 +130,11 @@ def q_events_by_type(sf_dir: str):
         return pa.table({"event_type": b["event_type"], "user_id": b["user_id"],
                          "value_cents": _cents(b["value"])})
     p = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    totals = agg.grouped_counts(p, ["event_type"], sum_col="value_cents") \
-                .rename_columns({"n_tok_sum": "value_cents_sum"})
-    pairs = agg.grouped_counts(p.select_columns(["event_type", "user_id"]),
-                               ["event_type", "user_id"])
-    users = agg.grouped_counts(pairs.select_columns(["event_type"]),
-                               ["event_type"]).rename_columns(
-        {"events": "users"})
-    t, u = totals.to_pandas(), users.to_pandas()
+    t = agg.combine_pandas(p, ["event_type"],
+                           {"events": ([], "count_all"),
+                            "value_cents_sum": ("value_cents", "sum")})
+    pairs = agg.combine(p, ["event_type", "user_id"], {})
+    u = agg.combine_pandas(pairs, ["event_type"], {"users": ([], "count_all")})
     return t.merge(u, on="event_type").sort_values("event_type",
                                                    ignore_index=True)
 
@@ -271,9 +268,10 @@ def q_log_pipeline(sf_dir: str):
 
     prepped = parsed.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    out = agg.grouped_counts(prepped, ["level"], sum_col="value_cents")
-    df = (out.rename_columns({"n_tok_sum": "value_cents_sum"})
-          .to_pandas().sort_values("level", ignore_index=True))
+    df = agg.combine_pandas(prepped, ["level"],
+                            {"events": ([], "count_all"),
+                             "value_cents_sum": ("value_cents", "sum")})
+    df = df.sort_values("level", ignore_index=True)
     import shutil
     shutil.rmtree(log_dir, ignore_errors=True)
     return df
@@ -342,23 +340,18 @@ def q_value_moments(sf_dir: str):
     block): per event_type n, Σx, Σx² over exact integer cents —
     block-local partials, one tiny exchange; variance derives exactly
     downstream without float-summation-order hazards."""
-    from ray.data.aggregate import Sum
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def prep(b: pa.Table) -> pa.Table:
         cents = _cents(b["value"])
-        sq = pc.multiply(cents, cents)
-        t = pa.table({"event_type": b["event_type"], "s": cents,
-                      "s2": sq})
-        g = pa.TableGroupBy(t, ["event_type"]).aggregate(
-            [([], "count_all"), ("s", "sum"), ("s2", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "s2"])
+        return pa.table({"event_type": b["event_type"], "s": cents,
+                         "s2": pc.multiply(cents, cents)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return parts.groupby("event_type").aggregate(
-        Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-        Sum("s2", alias_name="s2"))
+    return agg.combine(ds.map_batches(prep, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       ["event_type"], {"n": ([], "count_all"),
+                                        "s": ("s", "sum"),
+                                        "s2": ("s2", "sum")})
 
 
 SQL_VALUE_MOMENTS = """
@@ -532,20 +525,11 @@ def q_pricing_summary(sf_dir: str):
             "price_cents": price_c, "disc_price_cents": disc_c,
         })
 
-    from ray.data.aggregate import Sum
     p = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["l_returnflag", "l_linestatus"]).aggregate(
-            [([], "count_all"), ("qty", "sum"), ("price_cents", "sum"),
-             ("disc_price_cents", "sum")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "n",
-                                 "sum_qty", "sum_price_cents", "sum_disc_cents"])
-    partials = p.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("n", alias_name="n"), Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_price_cents", alias_name="sum_price_cents"),
-        Sum("sum_disc_cents", alias_name="sum_disc_cents"))
+    return agg.combine(p, ["l_returnflag", "l_linestatus"],
+                       {"n": ([], "count_all"), "sum_qty": ("qty", "sum"),
+                        "sum_price_cents": ("price_cents", "sum"),
+                        "sum_disc_cents": ("disc_price_cents", "sum")})
 
 
 SQL_PRICING_SUMMARY = """
@@ -581,8 +565,9 @@ def q_orders_by_segment(sf_dir: str):
     joined = ds.map_batches(JoinSegment, fn_constructor_kwargs=dict(lookup=ref),
                             batch_format="pyarrow", zero_copy_batch=True,
                             concurrency=2, num_cpus=0.5)
-    return agg.grouped_counts(joined, ["c_mktsegment"], sum_col="total_cents") \
-              .rename_columns({"events": "orders", "n_tok_sum": "total_cents_sum"})
+    return agg.combine(joined, ["c_mktsegment"],
+                       {"orders": ([], "count_all"),
+                        "total_cents_sum": ("total_cents", "sum")})
 
 
 SQL_ORDERS_BY_SEGMENT = """
@@ -609,8 +594,7 @@ def q_nations_per_region(sf_dir: str):
 
     ds = _read(sf_dir, "nation", ["n_regionkey"])
     joined = ds.map_batches(join, batch_format="pyarrow", zero_copy_batch=True)
-    return agg.grouped_counts(joined, ["r_name"]).rename_columns(
-        {"events": "nations"})
+    return agg.combine(joined, ["r_name"], {"nations": ([], "count_all")})
 
 
 SQL_NATIONS_PER_REGION = """
@@ -659,24 +643,8 @@ def q_top_words(sf_dir: str):
     """Flat-map / unnest coverage: explode documents into words and
     count — the row-multiplying transform. Block-local word counts
     (one partial row per distinct word per block) pre-aggregate before
-    the shuffle; the global sort runs over the tiny aggregate."""
-    from ray.data.aggregate import Sum
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def word_counts(b: pa.Table) -> pa.Table:
-        text = b["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        g = pa.TableGroupBy(pa.table({"word": flat}),
-                            ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n"])
-
-    partial = ds.map_batches(word_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    counts = partial.groupby("word").aggregate(Sum("n", alias_name="n"))
+    the final; the global sort runs over the tiny aggregate."""
+    counts = textstats.word_counts(_read(sf_dir, "documents", ["text"]))
     return counts.sort(["n", "word"], descending=[True, False]).limit(20)
 
 
@@ -694,7 +662,6 @@ def q_top_terms(sf_dir: str):
     exactly one block, so per-block distinct (doc, word) pairs are
     globally distinct and df sums exactly like tf. One tiny exchange
     over per-block word partials; sort/limit runs on the aggregate."""
-    from ray.data.aggregate import Sum
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -717,10 +684,9 @@ def q_top_terms(sf_dir: str):
               .rename_columns(["word", "df"]))
         return tf.join(df, keys=["word"])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    out = parts.groupby("word").aggregate(Sum("tf", alias_name="tf"),
-                                          Sum("df", alias_name="df"))
+    out = agg.combine(ds.map_batches(partial, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      ["word"], {"tf": ("tf", "sum"), "df": ("df", "sum")})
     return out.sort(["tf", "word"], descending=[True, False]).limit(20)
 
 
@@ -803,39 +769,38 @@ SELECT doc_id, {_PII_SQL_INNER} AS text_scrubbed FROM aug
 """
 
 
+def _explode_bigrams(b: pa.Table) -> pa.Table:
+    """One ``bigram`` row ("a b") per pair of adjacent words within a
+    row of ``b``'s lower-cased ``text``: two shifted slices of the flat
+    word array joined element-wise, row-crossing pairs masked out."""
+    words = textstats._words(b["text"])
+    off = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = words.values[off[0]:off[-1]]
+    off0 = off - off[0]
+    nf = len(flat)
+    if nf < 2:
+        return pa.table({"bigram": pa.array([], type=pa.string())})
+    big = pc.binary_join_element_wise(
+        flat.slice(0, nf - 1), flat.slice(1, nf - 1), " ")
+    valid = np.ones(nf - 1, dtype=bool)
+    bnd = off0[1:-1] - 1     # last-word positions: pair crosses rows
+    valid[bnd[(bnd >= 0) & (bnd < nf - 1)]] = False
+    return pa.table({"bigram": big.filter(pa.array(valid))})
+
+
+def _bigram_counts(ds):
+    """``(bigram, n)``: every adjacent-word pair's count, one combine."""
+    return agg.combine(ds.map_batches(_explode_bigrams, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       ["bigram"], {"n": ([], "count_all")})
+
+
 def q_bigram_counts(sf_dir: str):
     """Adjacent-word bigram counts (n-gram LM / contamination
     analysis): two shifted slices of the flat word array joined
     element-wise, row-crossing positions masked out, block partials
-    pre-aggregated before the tiny vocabulary shuffle."""
-    from ray.data.aggregate import Sum
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        text = b["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
-        off = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = words.values[off[0]:off[-1]]
-        off0 = off - off[0]
-        nf = len(flat)
-        if nf < 2:
-            return pa.table({"bigram": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64())})
-        big = pc.binary_join_element_wise(
-            flat.slice(0, nf - 1), flat.slice(1, nf - 1), " ")
-        valid = np.ones(nf - 1, dtype=bool)
-        bnd = off0[1:-1] - 1     # last-word positions: pair crosses rows
-        valid[bnd[(bnd >= 0) & (bnd < nf - 1)]] = False
-        g = pa.TableGroupBy(
-            pa.table({"bigram": big.filter(pa.array(valid))}),
-            ["bigram"]).aggregate([([], "count_all")])
-        return g.rename_columns(["bigram", "n"])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    counts = parts.groupby("bigram").aggregate(Sum("n", alias_name="n"))
+    pre-aggregated before the tiny vocabulary final."""
+    counts = _bigram_counts(_read(sf_dir, "documents", ["text"]))
     return counts.sort(["n", "bigram"], descending=[True, False]).limit(20)
 
 
@@ -856,48 +821,9 @@ def q_pmi_collocations(sf_dir: str):
     (aggregate-scale; at 100 TB the word side is the capped vocabulary
     broadcast from unigram_logprob). Integer-scaled PMI keeps the
     oracle bit-exact."""
-    from ray.data.aggregate import Sum
     ds = _read(sf_dir, "documents", ["text"])
-
-    def bigram_partial(b: pa.Table) -> pa.Table:
-        text = b["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
-        off = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = words.values[off[0]:off[-1]]
-        off0 = off - off[0]
-        nf = len(flat)
-        if nf < 2:
-            return pa.table({"bigram": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64())})
-        big = pc.binary_join_element_wise(
-            flat.slice(0, nf - 1), flat.slice(1, nf - 1), " ")
-        valid = np.ones(nf - 1, dtype=bool)
-        bnd = off0[1:-1] - 1
-        valid[bnd[(bnd >= 0) & (bnd < nf - 1)]] = False
-        g = pa.TableGroupBy(
-            pa.table({"bigram": big.filter(pa.array(valid))}),
-            ["bigram"]).aggregate([([], "count_all")])
-        return g.rename_columns(["bigram", "n"])
-
-    def word_partial(b: pa.Table) -> pa.Table:
-        text = b["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        g = pa.TableGroupBy(pa.table({"word": flat}),
-                            ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n"])
-
-    bc = ds.map_batches(bigram_partial, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby("bigram").aggregate(Sum("n", alias_name="n")).to_pandas()
-    wc = ds.map_batches(word_partial, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby("word").aggregate(Sum("n", alias_name="n")).to_pandas()
+    bc = _bigram_counts(ds).to_pandas()
+    wc = textstats.word_counts(ds).to_pandas()
     t_w = float(wc["n"].sum())
     t_b = float(bc["n"].sum())
     bc = bc[bc["n"] >= 5].copy()
@@ -944,19 +870,8 @@ def q_heavy_hitter_words(sf_dir: str):
     then recounts only the candidates. Same answer as top_words; the
     scale path when the vocabulary itself is corpus-scale."""
     from ..stages.sketch import distributed_topk
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def explode(b: pa.Table) -> pa.Table:
-        text = b["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        return pa.table({"word": flat})
-
-    words_ds = ds.map_batches(explode, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    words_ds = _read(sf_dir, "documents", ["text"]).map_batches(
+        textstats.explode_words, batch_format="pyarrow", zero_copy_batch=True)
     return distributed_topk(words_ds, "word", k=20, per_block_top=256)
 
 
@@ -1624,21 +1539,10 @@ def q_latest_event_per_user(sf_dir: str):
     broadcast the maxima, filter rows equal to their key's max inside
     map_batches — no row-level shuffle, no whole-row aggregate."""
     import ray
-    from ray.data.aggregate import Max, Min
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-
-    def partial_max(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["user_id"]).aggregate([("ts", "max")])
-        return g.rename_columns(["user_id", "ts_max"])
-
-    maxima = (ds.map_batches(partial_max, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby("user_id").aggregate(Max("ts_max", alias_name="ts_max"))
-                .to_pandas())
-    lut = pa.table({"user_id": maxima["user_id"],
-                    "ts_max": maxima["ts_max"]})
-    ref = ray.put(lut)
+    lut = agg.combine_pandas(ds, ["user_id"], {"ts_max": ("ts", "max")})
+    ref = ray.put(pa.Table.from_pandas(lut, preserve_index=False))
 
     def keep_latest(b: pa.Table) -> pa.Table:
         t = ray.get(ref)
@@ -1653,14 +1557,8 @@ def q_latest_event_per_user(sf_dir: str):
                             zero_copy_batch=True)
     # (user_id, ts) is unique in the fixture; keep min event_id anyway
     # so the operator is deterministic under ties, matching the oracle.
-    def tie_break(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["user_id"]).aggregate([("event_id", "min")])
-        return g.rename_columns(["user_id", "event_id"])
-    ids = (latest.map_batches(tie_break, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby("user_id")
-                 .aggregate(Min("event_id", alias_name="event_id"))
-                 .to_pandas())
+    ids = agg.combine_pandas(latest, ["user_id"],
+                             {"event_id": ("event_id", "min")})
     return ids.sort_values("user_id", ignore_index=True)
 
 
@@ -1678,17 +1576,9 @@ def q_customers_with_orders(sf_dir: str):
     shuffle of either table."""
     import ray
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-
-    def distinct_keys(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["o_custkey"]).aggregate([])
-        return g
-
-    keys = (orders.map_batches(distinct_keys, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                  .groupby("o_custkey").count().to_pandas())
-    key_set = pa.array(keys["o_custkey"].to_numpy())
-    ref = ray.put(key_set)
+    keys = agg.combine_pandas(_read(sf_dir, "orders", ["o_custkey"]),
+                              ["o_custkey"], {})
+    ref = ray.put(pa.array(keys["o_custkey"].to_numpy()))
 
     def semi(b: pa.Table) -> pa.Table:
         ks = ray.get(ref)
@@ -1716,14 +1606,8 @@ def q_customers_without_events(sf_dir: str):
     inverted is_in filter per batch."""
     import ray
 
-    events = _read(sf_dir, "events", ["user_id"])
-
-    def distinct_keys(b: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(b, ["user_id"]).aggregate([])
-
-    keys = (events.map_batches(distinct_keys, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                  .groupby("user_id").count().to_pandas())
+    keys = agg.combine_pandas(_read(sf_dir, "events", ["user_id"]),
+                              ["user_id"], {})
     ref = ray.put(pa.array(keys["user_id"].to_numpy()))
 
     def anti(b: pa.Table) -> pa.Table:
@@ -1869,9 +1753,9 @@ def q_region_revenue(sf_dir: str):
                           key_col="o_orderkey", left_cols=["r_name"],
                           right_cols=["revenue_u"], how="inner",
                           right_agg={"revenue_u": "sum"})
-    out = agg.grouped_counts(per_order, ["r_name"], sum_col="revenue_u")
-    return out.rename_columns({"events": "orders",
-                               "n_tok_sum": "revenue_u"})
+    return agg.combine(per_order, ["r_name"],
+                       {"orders": ([], "count_all"),
+                        "revenue_u": ("revenue_u", "sum")})
 
 
 SQL_REGION_REVENUE = """
@@ -2012,8 +1896,9 @@ def q_value_band_counts(sf_dir: str):
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({"band": b["band"], "value_cents": _cents(b["value"])})
     p = joined.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return agg.grouped_counts(p, ["band"], sum_col="value_cents") \
-              .rename_columns({"n_tok_sum": "value_cents_sum"})
+    return agg.combine(p, ["band"],
+                       {"events": ([], "count_all"),
+                        "value_cents_sum": ("value_cents", "sum")})
 
 
 SQL_VALUE_BAND_COUNTS = f"""
@@ -2045,9 +1930,9 @@ def q_value_band_overlap(sf_dir: str):
                          "value_cents": _cents(b["value"])})
     p = joined.map_batches(prep, batch_format="pyarrow",
                            zero_copy_batch=True)
-    return agg.grouped_counts(p, ["band_id"], sum_col="value_cents") \
-              .rename_columns({"events": "n_events",
-                               "n_tok_sum": "value_cents_sum"})
+    return agg.combine(p, ["band_id"],
+                       {"n_events": ([], "count_all"),
+                        "value_cents_sum": ("value_cents", "sum")})
 
 
 SQL_VALUE_BAND_OVERLAP = """
@@ -2389,8 +2274,7 @@ def q_union_distinct(sf_dir: str):
         lambda b: b.rename_columns(["name"]), batch_format="pyarrow",
         zero_copy_batch=True)
     u = docs.union(evs)
-    distinct = agg.grouped_counts(u, ["name"]).select_columns(["name"])
-    return distinct.sort("name")
+    return agg.combine(u, ["name"], {}).sort("name")
 
 
 SQL_UNION_DISTINCT = """
@@ -2439,8 +2323,8 @@ def q_media_stats(sf_dir: str):
         return pa.table({"source": b["source"],
                          "px": pc.cast(b["width"], pa.int64())})
     p = decoded.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return agg.grouped_counts(p, ["source"], sum_col="px").rename_columns(
-        {"events": "n_media", "n_tok_sum": "width_sum"})
+    return agg.combine(p, ["source"], {"n_media": ([], "count_all"),
+                                       "width_sum": ("px", "sum")})
 
 
 # ===========================================================================

@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..hashing import (MASK63, U64, hash2, hash_strings, round_half_away,
                        splitmix64)
+from .aggregate import combine, combine_pandas
 from .exchange import bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
@@ -41,30 +42,17 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """Exact dedup: hash the content, keep the smallest id per hash
     (deterministic winner) plus dup_count.
 
-    Shape: block-local partial aggregation (per-hash min(id) + count
-    inside ``map_batches``) followed by one ``bucket_exchange`` over
-    the partials whose kernel is one Arrow groupby per partition —
-    never a Python call per group: on a mostly-unique corpus nearly
-    every group is a singleton. The shuffle key is the 63-bit hash —
-    uniformly distributed, no skew mitigation needed. Returns
-    (content_hash, <id_col>, dup_count)."""
+    Shape: one ``combine`` (per-hash min(id) + count): one Arrow groupby
+    per block and one over the partials, never a Python call per group:
+    on a mostly-unique corpus nearly every group is a singleton. The
+    63-bit hash is uniformly distributed, so an exchange final needs no
+    skew mitigation. Returns (content_hash, <id_col>, dup_count)."""
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, ["content_hash"]).aggregate(
-            [(id_col, "min"), ([], "count_all")])
-        return g.rename_columns(["content_hash", id_col, "dup_count"])
-
-    partials = hashed.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["content_hash"]).aggregate(
-            [(id_col, "min"), ("dup_count", "sum")])
-        return g.rename_columns(["content_hash", id_col, "dup_count"])
-    return bucket_exchange(partials, "content_hash", merge)
+    return combine(hashed, ["content_hash"],
+                   {id_col: (id_col, "min"),
+                    "dup_count": ([], "count_all")})
 
 
 def exact_dedup_keep(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -191,15 +179,7 @@ def _collision_key_set(keys_ds, key_col: str) -> pd.DataFrame:
     the driver — never rows."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
-    def key_counts(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, [key_col]).aggregate([([], "count_all")])
-        return g.rename_columns([key_col, "n"])
-
-    counts = (keys_ds.map_batches(key_counts, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                     .groupby(key_col).aggregate(Sum("n", alias_name="n")))
+    counts = combine(keys_ds, [key_col], {"n": ([], "count_all")})
     return counts.map_batches(
         lambda b: b.filter(pc.greater(b["n"], 1)),
         batch_format="pyarrow", zero_copy_batch=True).to_pandas()
@@ -521,19 +501,10 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     import ray
 
-    # tiny pre-pass: per-block row counts → per-block split factor k.
-    # Block-local partials are combined on the DRIVER (one row per
-    # block per Ray block — block_col is a bounded-cardinality key), so
-    # the pre-pass costs one column scan, no all-to-all barrier.
-    def block_counts(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b, [block_col]).aggregate([([], "count_all")])
-        return g.rename_columns([block_col, "n"])
-
-    counts = (ds.select_columns([block_col])
-                .map_batches(block_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .to_pandas()
-                .groupby(block_col, as_index=False)["n"].sum())
+    # tiny pre-pass: per-block row counts → per-block split factor k
+    # (block_col is a bounded-cardinality key, so its final runs on the
+    # driver)
+    counts = combine_pandas(ds, [block_col], {"n": ([], "count_all")})
     ks = np.maximum(1, -(-counts["n"].to_numpy() // target_block_rows))
     k_ref = ray.put(pa.table({block_col: counts[block_col].to_numpy(),
                               "k": ks.astype(np.int64)}))
@@ -1119,8 +1090,6 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
     (source_a, source_b, shared_shingles), source_a < source_b."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
     def local_distinct(b: pa.Table) -> pa.Table:
         sh, off = _strict_shingle_hashes(b[text_col], shingle_n, 0x50C)
         lens = np.diff(off)
@@ -1166,5 +1135,5 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
     partials = bucket_exchange(distinct, "sh", per_bucket,
                                num_buckets=num_buckets,
                                batch_format="pandas")
-    return partials.groupby(["source_a", "source_b"]).aggregate(
-        Sum("shared_shingles", alias_name="shared_shingles"))
+    return combine(partials, ["source_a", "source_b"],
+                   {"shared_shingles": ("shared_shingles", "sum")})

@@ -17,9 +17,11 @@ exchange paid 64 Python calls and a sampling pass for data that fits a
 handful of blocks. Fewer, larger UDF calls are the point of vectorized
 UDF execution ("Accelerating Python UDFs in Vectorized Query
 Execution", CIDR 2022). Why not Ray's native ``groupby().aggregate``:
-its sort-based plan is an order of magnitude slower here than partial
-aggregation plus this exchange (ROADMAP, "Measured at this
-re-anchor"). A function that needs exactly one group per call (it
+its sort-based plan is an order of magnitude slower here than block
+partials plus one final, so the package has none: every aggregate is
+``stages.aggregate.combine``, whose final runs on the driver when the
+partials fit one block and on this exchange when they do not (NOTES.md
+"One aggregation path"). A function that needs exactly one group per call (it
 reads the group's key off its first row) goes through
 ``exchange_groups``, the same exchange with a kernel that cuts each
 partition into its groups.

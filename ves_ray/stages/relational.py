@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyarrow import fs as pafs
 
+from .aggregate import combine_pandas
 from .exchange import _bucket_of, _key_hash, bucket_exchange, exchange_groups
 
 
@@ -636,17 +637,18 @@ def find_hot_keys(ds, key_col: str, *, frac: float = 0.01,
         top = g.take(pa.array(order))
         return pa.table({key_col: top.column(0), "n": top.column(1)})
 
-    parts = ds.map_batches(top_keys, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    if len(parts) == 0:
+    agg = combine_pandas(ds.map_batches(top_keys, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                         [key_col], {"n": ("n", "sum")})
+    if len(agg) == 0:
         return set()
     # denominator: the sum of reported counts — a lower bound on total
     # rows (per-block truncation drops tail keys), so shares are
     # slightly OVER-estimated and borderline keys get flagged hot:
     # harmless, they just take the broadcast path
-    denom = max(int(parts["n"].sum()), 1)
-    agg = parts.groupby(key_col)["n"].sum()
-    return set(agg[agg / denom > frac].index)
+    denom = max(int(agg["n"].sum()), 1)
+    hot = agg[(agg["n"] / denom > frac) & agg[key_col].notna()]
+    return set(hot[key_col])
 
 
 def grouped_topk(ds, *, key_col: str, order_cols: list[str],

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
+from .aggregate import combine_pandas
 from .exchange import bucket_exchange, exchange_groups
 
 
@@ -248,18 +249,11 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
     keyed = ds.map_batches(prep, batch_format="pyarrow",
                            zero_copy_batch=True).materialize()
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select([strata_col, "rbucket", weight_col]),
-                            [strata_col, "rbucket"]).aggregate(
-            [(weight_col, "sum")])
-        return g.rename_columns([strata_col, "rbucket", "w"])
-
-    parts = keyed.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).to_pandas()
-    if len(parts) == 0:
+    sums = combine_pandas(keyed, [strata_col, "rbucket"],
+                          {"w": (weight_col, "sum")})
+    if len(sums) == 0:
         return keyed.drop_columns(["rbucket"])
-    sums = (parts.groupby([strata_col, "rbucket"], as_index=False)["w"]
-                 .sum().sort_values([strata_col, "rbucket"]))
+    sums = sums.sort_values([strata_col, "rbucket"])
     sums["offset"] = (sums.groupby(strata_col)["w"].cumsum()
                       - sums["w"]).astype(np.int64)
     offsets = sums.loc[sums["offset"] < budget,
@@ -333,18 +327,10 @@ def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
     keyed = ds.map_batches(prep, batch_format="pyarrow",
                            zero_copy_batch=True).materialize()
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select(["rbucket"]),
-                            ["rbucket"]).aggregate([([], "count_all")])
-        return g.rename_columns(["rbucket", "n"])
-
-    parts = (keyed.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True).to_pandas())
-    n_ranges = 1 << range_bits
-    counts = np.zeros(n_ranges, dtype=np.int64)
-    if len(parts):
-        sums = parts.groupby("rbucket")["n"].sum()
-        counts[sums.index.to_numpy()] = sums.to_numpy()
+    sums = combine_pandas(keyed, ["rbucket"], {"n": ([], "count_all")})
+    counts = np.zeros(1 << range_bits, dtype=np.int64)
+    if len(sums):
+        counts[sums["rbucket"].to_numpy()] = sums["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     off_ref = ray.put(offsets)
 
@@ -405,17 +391,11 @@ def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
     keyed = ds.map_batches(prep, batch_format="pyarrow",
                            zero_copy_batch=True).materialize()
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select(["rbucket"]),
-                            ["rbucket"]).aggregate([([], "count_all")])
-        return g.rename_columns(["rbucket", "n"])
-
-    parts = keyed.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).to_pandas()
-    if len(parts):
-        sums = parts.groupby("rbucket")["n"].sum().sort_index()
-        rbs = sums.index.to_numpy(dtype=np.int64)
-        offs = np.concatenate(([0], np.cumsum(sums.to_numpy())[:-1]))
+    sums = combine_pandas(keyed, ["rbucket"], {"n": ([], "count_all")})
+    if len(sums):
+        sums = sums.sort_values("rbucket")
+        rbs = sums["rbucket"].to_numpy(dtype=np.int64)
+        offs = np.concatenate(([0], np.cumsum(sums["n"].to_numpy())[:-1]))
     else:
         rbs = np.empty(0, dtype=np.int64)
         offs = np.empty(0, dtype=np.int64)

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .aggregate import combine, combine_pandas
 from .exchange import exchange_groups
 
 
@@ -326,8 +327,6 @@ def grouped_centroids(ds, *, label_col: str = "label",
     O(labels × dim) rows before the one small ``groupby`` exchange —
     the vector analogue of aggregate.grouped_counts. Assumes fixed
     dimension across rows (validated per block)."""
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         if len(b) == 0:
             return pa.table({label_col: pa.array([], type=pa.int64()),
@@ -352,10 +351,9 @@ def grouped_centroids(ds, *, label_col: str = "label",
             "n": pa.array(np.repeat(counts, d), type=pa.int64()),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return partials.groupby([label_col, "i"]).aggregate(
-        Sum("s", alias_name="s"), Sum("n", alias_name="n"))
+    return combine(ds.map_batches(partial, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                   [label_col, "i"], {"s": ("s", "sum"), "n": ("n", "sum")})
 
 
 def build_lsh_index(ds, index_dir: str, *, n_planes: int = 8,
@@ -497,9 +495,10 @@ def kmeans_distributed(ds, *, n_clusters: int = 8, iters: int = 5,
                 "s": pa.array(sums.ravel()),
                 "n": pa.array(np.repeat(counts, d), type=pa.int64())})
 
-        parts = work.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True).to_pandas()
-        agg = parts.groupby(["cell", "i"], as_index=False).sum()
+        agg = combine_pandas(work.map_batches(partial, batch_format="pyarrow",
+                                              zero_copy_batch=True),
+                             ["cell", "i"], {"s": ("s", "sum"),
+                                             "n": ("n", "sum")})
         d = int(agg["i"].max()) + 1
         sums = np.zeros((n_clusters, d))
         counts = np.zeros(n_clusters, dtype=np.int64)

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
+from .aggregate import combine, combine_pandas
 
 
 def _hash_col(col) -> np.ndarray:
@@ -117,15 +118,16 @@ def distributed_topk(ds, col: str, *, k: int = 20,
                          "eps": pa.array(np.full(m + 1, eps,
                                                  dtype=np.int64))})
 
-    parts = ds.map_batches(local_top, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    if len(parts) == 0:
+    # the sentinels fold into the null key's group: eps_rep = Σ eps
+    g = combine_pandas(ds.map_batches(local_top, batch_format="pyarrow",
+                                      zero_copy_batch=True), [col],
+                       {"lower": ("n", "sum"), "eps_rep": ("eps", "sum")})
+    if len(g) == 0:
         return pa.table({col: pa.array([], type=pa.string()),
                          "n": pa.array([], type=pa.int64())})
-    sentinel = parts[parts[col].isna()]
-    total_e = int(sentinel["eps"].sum())
-    rep = parts[parts[col].notna()]
-    g = rep.groupby(col).agg(lower=("n", "sum"), eps_rep=("eps", "sum"))
+    sentinel = g[col].isna()
+    total_e = int(g.loc[sentinel, "eps_rep"].sum())
+    g = g[~sentinel].set_index(col)
     topk_lower = g["lower"].nlargest(k)
     tau = int(topk_lower.iloc[-1]) if len(topk_lower) else 0
     upper = g["lower"] + (total_e - g["eps_rep"])
@@ -136,8 +138,7 @@ def distributed_topk(ds, col: str, *, k: int = 20,
         # than k reported keys, leaving free slots any truncated key
         # could occupy) → exact path; total_e == 0 means no block
         # dropped anything, so the report is complete and exact
-        from ray.data.aggregate import Count
-        full = ds.groupby(col).aggregate(Count(alias_name="n"))
+        full = combine(ds, [col], {"n": ([], "count_all")})
         out = full.sort(["n", col], descending=[True, False]) \
                   .limit(k).to_pandas()
         return pa.table({col: pa.array(out[col]),
@@ -146,18 +147,13 @@ def distributed_topk(ds, col: str, *, k: int = 20,
 
     ref = ray.put(pa.array(cand))
 
-    def recount(b: pa.Table) -> pa.Table:
-        ks = b[col]
-        if isinstance(ks, pa.ChunkedArray):
-            ks = ks.combine_chunks()
-        mask = pc.is_in(ks, value_set=ray.get(ref))
-        gg = pa.TableGroupBy(pa.table({col: ks.filter(mask)}),
-                             [col]).aggregate([([], "count_all")])
-        return gg.rename_columns([col, "n"])
+    def candidates(b: pa.Table) -> pa.Table:
+        return b.select([col]).filter(pc.is_in(b[col],
+                                               value_set=ray.get(ref)))
 
-    partials = ds.map_batches(recount, batch_format="pyarrow",
-                              zero_copy_batch=True).to_pandas()
-    tot = partials.groupby(col, as_index=False)["n"].sum()
+    tot = combine_pandas(ds.map_batches(candidates, batch_format="pyarrow",
+                                        zero_copy_batch=True), [col],
+                         {"n": ([], "count_all")})
     tot = tot.sort_values(["n", col], ascending=[False, True]).head(k)
     return pa.table({col: pa.array(tot[col]),
                      "n": pa.array(tot["n"].to_numpy().astype(np.int64))})
@@ -248,10 +244,9 @@ def ddsketch_quantiles(ds, value_col: str, *, group_col: str | None = None,
         return pa.table({"bkt": pa.array(uniq),
                          "n": pa.array(counts.astype(np.int64))})
 
-    parts = ds.map_batches(local, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    merged = parts.groupby(gcols + ["bkt"], as_index=False)["n"].sum() \
-        if gcols else parts.groupby("bkt", as_index=False)["n"].sum()
+    merged = combine_pandas(ds.map_batches(local, batch_format="pyarrow",
+                                           zero_copy_batch=True),
+                            gcols + ["bkt"], {"n": ("n", "sum")})
 
     rows = []
     groups = merged.groupby(group_col) if group_col else [(None, merged)]
@@ -323,18 +318,9 @@ def histogram_quantiles(ds, value_col: str, group_col: str, *,
     (group, q_<num>_<den> ...); output is group-scale.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def local(b: pa.Table) -> pa.Table:
-        t = pa.table({group_col: b[group_col], value_col: b[value_col]})
-        g = pa.TableGroupBy(t, [group_col, value_col]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, value_col, "n"])
-
-    hist = (ds.map_batches(local, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby([group_col, value_col])
-              .aggregate(Sum("n", alias_name="n"))).to_pandas()
+    hist = combine_pandas(ds, [group_col, value_col],
+                          {"n": ([], "count_all")})
 
     rows = []
     for gval, sub in hist.groupby(group_col):

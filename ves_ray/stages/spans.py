@@ -42,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
+from .aggregate import combine
 from .exchange import bucket_exchange
 
 DEFAULT_SEED = 0x5EED5
@@ -86,17 +87,13 @@ def dup_span_hash_set(ds, *, k: int = 8, text_col: str = "text",
     """Sorted uint64 hashes of every k-word window occurring ≥2 times
     corpus-wide. Block-local partial counts keep the exchange at
     (distinct-hash, count) scale, never window scale."""
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def windows(b: pa.Table) -> pa.Table:
         h, _, _, _, _ = _span_windows(b[text_col], k, seed)
-        t = pa.table({"h": pa.array(h.view(np.int64), type=pa.int64())})
-        g = pa.TableGroupBy(t, ["h"]).aggregate([([], "count_all")])
-        return g.rename_columns(["h", "n"])
+        return pa.table({"h": pa.array(h.view(np.int64), type=pa.int64())})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby("h").aggregate(Sum("n", alias_name="n")))
+    counts = combine(ds.map_batches(windows, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     ["h"], {"n": ([], "count_all")})
     dup = counts.map_batches(
         lambda b: b.select(["h"]).filter(pc.greater(b["n"], 1)),
         batch_format="pyarrow", zero_copy_batch=True).to_pandas()

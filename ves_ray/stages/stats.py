@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import combine, combine_pandas
 from .exchange import exchange_groups
 
 
@@ -37,36 +38,23 @@ def grouped_zscore_outliers(ds, *, group_col: str, value_col: str,
     """Rows whose integer ``value_col`` deviates from their group mean
     by strictly more than ``t`` population standard deviations.
     Returns a Dataset of (*id_cols, group_col, value_col) rows."""
-    from ray.data.aggregate import Sum
-
-    from ray.data.aggregate import Max, Min
-
-    def partial(b: pa.Table) -> pa.Table:
+    def prep(b: pa.Table) -> pa.Table:
         v = b[value_col]
         # multiply_checked raises (never wraps) if a single v² exceeds
         # int64; the sums fold in decimal128(38,0) so Σv² stays exact
         # to 10³⁸ — safe at 10¹² rows where int64 sums would wrap.
         dec = pa.decimal128(38, 0)
-        tt = pa.table({group_col: b[group_col],
-                       "s": pc.cast(v, dec),
-                       "s2": pc.cast(pc.multiply_checked(v, v), dec),
-                       "vmin": v, "vmax": v})
-        g = pa.TableGroupBy(tt, [group_col]).aggregate(
-            [([], "count_all"), ("s", "sum"), ("s2", "sum"),
-             ("vmin", "min"), ("vmax", "max")])
-        return g.rename_columns([group_col, "n", "s", "s2",
-                                 "vmin", "vmax"])
+        return pa.table({group_col: b[group_col], "v": v,
+                         "s": pc.cast(v, dec),
+                         "s2": pc.cast(pc.multiply_checked(v, v), dec)})
 
     cols = list(dict.fromkeys([group_col, value_col, *id_cols]))
-    moments = (ds.select_columns(cols)
-                 .map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby(group_col)
-                 .aggregate(Sum("n", alias_name="n"),
-                            Sum("s", alias_name="s"),
-                            Sum("s2", alias_name="s2"),
-                            Min("vmin", alias_name="vmin"),
-                            Max("vmax", alias_name="vmax"))).to_pandas()
+    moments = combine_pandas(ds.map_batches(prep, batch_format="pyarrow",
+                                            zero_copy_batch=True),
+                             [group_col],
+                             {"n": ([], "count_all"), "s": ("s", "sum"),
+                              "s2": ("s2", "sum"), "vmin": ("v", "min"),
+                              "vmax": ("v", "max")})
 
     flag = _zscore_flag_fn(moments, group_col=group_col,
                            value_col=value_col, t=t)
@@ -148,22 +136,10 @@ def grouped_percent_rank(ds, *, group_col: str, value_col: str,
     fails loud before the driver gather when that happens, pointing
     at :func:`grouped_percent_rank_banded` — the implemented
     sort-equivalent plan (cost = one row-scale bucket exchange)."""
-    import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
-
-    def local(b: pa.Table) -> pa.Table:
-        t = pa.table({group_col: b[group_col], value_col: b[value_col]})
-        g = pa.TableGroupBy(t, [group_col, value_col]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, value_col, "n"])
 
     cols = list(dict.fromkeys([group_col, value_col, *id_cols]))
-    grp = (ds.select_columns([group_col, value_col])
-             .map_batches(local, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby([group_col, value_col])
-             .aggregate(Sum("n", alias_name="n"))).materialize()
+    grp = combine(ds, [group_col, value_col], {"n": ([], "count_all")})
     n_hist = grp.count()
     if n_hist > max_histogram_rows:
         raise ValueError(
@@ -269,19 +245,9 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
     tagged = ds.select_columns(cols).map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True)
 
-    # small exchange: per-(group, band) counts -> offsets + totals
-    from ray.data.aggregate import Sum
-
-    def band_partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select([group_col, "band"]),
-                            [group_col, "band"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, "band", "n"])
-
-    counts = (tagged.map_batches(band_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-              .groupby([group_col, "band"])
-              .aggregate(Sum("n", alias_name="n"))).to_pandas()
+    # small aggregate: per-(group, band) counts -> offsets + totals
+    counts = combine_pandas(tagged, [group_col, "band"],
+                            {"n": ([], "count_all")})
     counts = counts.sort_values([group_col, "band"], ignore_index=True)
     n_arr = counts["n"].to_numpy(dtype=np.int64)
     cum = counts.groupby(group_col)["n"].cumsum().to_numpy(np.int64)
@@ -390,19 +356,9 @@ def grouped_mode(ds, *, group_col: str, value_col: str):
     DataFrame (group_col, mode_value, mode_count, n_group) sorted by
     group."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def local(b: pa.Table) -> pa.Table:
-        t = pa.table({group_col: b[group_col], value_col: b[value_col]})
-        g = pa.TableGroupBy(t, [group_col, value_col]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, value_col, "n"])
-
-    hist = (ds.select_columns([group_col, value_col])
-              .map_batches(local, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby([group_col, value_col])
-              .aggregate(Sum("n", alias_name="n"))).to_pandas()
+    hist = combine_pandas(ds, [group_col, value_col],
+                          {"n": ([], "count_all")})
     # argmax per group under (count DESC, value ASC): one stable sort
     hist = hist.sort_values([group_col, "n", value_col],
                             ascending=[True, False, True],
@@ -432,9 +388,8 @@ def grouped_corr(ds, *, group_col: str, x_col: str, y_col: str):
     column) return NULL like SQL's corr(). Returns a pandas DataFrame
     (group_col, n, corr) sorted by group."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
+    def prep(b: pa.Table) -> pa.Table:
         x, y = b[x_col], b[y_col]
         # Per-element products use multiply_checked so an x·y that
         # exceeds int64 raises instead of wrapping; the SUMS fold in
@@ -443,27 +398,17 @@ def grouped_corr(ds, *, group_col: str, x_col: str, y_col: str):
         # Σy² fold wraps int64 around ~10⁵ rows per group — far below
         # the 10¹² target. Driver converts Decimal → exact Python int.
         dec = pa.decimal128(38, 0)
-        t = pa.table({group_col: b[group_col],
-                      "sx": pc.cast(x, dec), "sy": pc.cast(y, dec),
-                      "sxy": pc.cast(pc.multiply_checked(x, y), dec),
-                      "sxx": pc.cast(pc.multiply_checked(x, x), dec),
-                      "syy": pc.cast(pc.multiply_checked(y, y), dec)})
-        g = pa.TableGroupBy(t, [group_col]).aggregate(
-            [([], "count_all"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum"), ("sxx", "sum"), ("syy", "sum")])
-        return g.rename_columns([group_col, "n", "sx", "sy",
-                                 "sxy", "sxx", "syy"])
+        return pa.table({group_col: b[group_col],
+                         "sx": pc.cast(x, dec), "sy": pc.cast(y, dec),
+                         "sxy": pc.cast(pc.multiply_checked(x, y), dec),
+                         "sxx": pc.cast(pc.multiply_checked(x, x), dec),
+                         "syy": pc.cast(pc.multiply_checked(y, y), dec)})
 
-    m = (ds.select_columns([group_col, x_col, y_col])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby(group_col)
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sx", alias_name="sx"),
-                      Sum("sy", alias_name="sy"),
-                      Sum("sxy", alias_name="sxy"),
-                      Sum("sxx", alias_name="sxx"),
-                      Sum("syy", alias_name="syy"))).to_pandas()
+    sums = ("sx", "sy", "sxy", "sxx", "syy")
+    m = combine_pandas(ds.map_batches(prep, batch_format="pyarrow",
+                                      zero_copy_batch=True), [group_col],
+                       {"n": ([], "count_all"),
+                        **{c: (c, "sum") for c in sums}})
 
     rows = []
     for _, r in m.iterrows():      # group-scale loop, exact ints
@@ -495,27 +440,10 @@ def gini_concentration(ds, *, key_col: str):
     tie order never matters. Returns a one-row pandas DataFrame
     (n_keys, total_rows, gini_e6)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select([key_col]), [key_col]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([key_col, "c"])
-
-    per_key = (ds.select_columns([key_col])
-                 .map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby(key_col).aggregate(Sum("c", alias_name="c")))
-
-    def hist_partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select(["c"]), ["c"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["c", "m"])
-
-    hist = (per_key.map_batches(hist_partial, batch_format="pyarrow",
-                                zero_copy_batch=True)
-                   .groupby("c").aggregate(Sum("m", alias_name="m"))
-            ).to_pandas().sort_values("c", ignore_index=True)
+    per_key = combine(ds, [key_col], {"c": ([], "count_all")})
+    hist = combine_pandas(per_key, ["c"], {"m": ([], "count_all")}) \
+        .sort_values("c", ignore_index=True)
 
     n = s = sic = 0
     p = 0

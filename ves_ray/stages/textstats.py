@@ -16,6 +16,7 @@ import pyarrow.compute as pc
 
 from ..hashing import (U64, hash_strings, reduce_by_row, round_half_away,
                        splitmix64)
+from .aggregate import combine, combine_pandas
 
 _WS = r"\s+"
 # BPE-ish pretokenizer: word pieces or single non-space symbols
@@ -35,6 +36,22 @@ def _words(text: pa.ChunkedArray | pa.Array):
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     return pc.split_pattern_regex(pc.utf8_lower(text), pattern=_WS)
+
+
+def explode_words(b: pa.Table, text_col: str = "text") -> pa.Table:
+    """One ``word`` row per lower-cased whitespace word of
+    ``text_col``."""
+    words = _words(b[text_col])
+    return pa.table({"word": words.values[words.offsets[0].as_py():
+                                          words.offsets[-1].as_py()]})
+
+
+def word_counts(ds, text_col: str = "text"):
+    """``(word, n)``: every word's count over ``ds``, one ``combine``."""
+    return combine(ds.map_batches(explode_words, batch_format="pyarrow",
+                                  zero_copy_batch=True,
+                                  fn_kwargs={"text_col": text_col}),
+                   ["word"], {"n": ([], "count_all")})
 
 
 def token_count_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
@@ -240,20 +257,8 @@ def unigram_logprob(ds, *, text_col: str = "text", id_col: str = "doc_id",
     slightly worse than the rarest kept word.
     """
     import ray
-    from ray.data.aggregate import Sum
 
-    def word_counts(b: pa.Table) -> pa.Table:
-        words = _words(b[text_col])
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        g = pa.TableGroupBy(pa.table({"word": flat}),
-                            ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n"])
-
-    partial = ds.map_batches(word_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    vocab = partial.groupby("word").aggregate(Sum("n", alias_name="n")) \
-        .to_pandas()
+    vocab = word_counts(ds, text_col).to_pandas()
     total = float(vocab["n"].sum())
     counts = vocab["n"].to_numpy().astype(np.float64)
     logp = np.floor(np.log(counts / total) * scale).astype(np.int64)
@@ -367,17 +372,13 @@ def tfidf_top_terms(ds, *, text_col: str = "text", id_col: str = "doc_id",
         rowp = np.repeat(np.arange(len(b), dtype=np.int64),
                          np.diff(off0))
         pairs = pa.table({"r": pa.array(rowp), "term": flat})
-        g = pa.TableGroupBy(pairs, ["r", "term"]).aggregate(
-            [([], "count_all")])
-        dfp = pa.TableGroupBy(g.select(["term"]), ["term"]).aggregate(
-            [([], "count_all")])
-        return dfp.rename_columns(["term", "dfp"])
+        return pa.TableGroupBy(pairs, ["r", "term"]).aggregate([])
 
-    from ray.data.aggregate import Sum
-    dfv = ds.map_batches(df_partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("term").aggregate(Sum("dfp", alias_name="df")) \
-        .to_pandas()
+    # each doc lives in one block, so its distinct (doc, term) pairs
+    # are distinct globally and df counts them
+    dfv = combine_pandas(ds.map_batches(df_partial, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                         ["term"], {"df": ([], "count_all")})
     n_docs = int(ds.count())
     idf = np.floor(np.log(n_docs / dfv["df"].to_numpy()
                           .astype(np.float64)) * scale).astype(np.int64)
@@ -441,20 +442,9 @@ def vocab_encode(ds, *, text_col: str = "text", id_col: str = "doc_id",
     sequence itself is row-local and trivially emitted instead when
     a consumer wants the encoded column)."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def word_counts(b: pa.Table) -> pa.Table:
-        words = _words(b[text_col])
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        g = pa.TableGroupBy(pa.table({"word": flat}),
-                            ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n"])
-
-    partial = ds.map_batches(word_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    counts = partial.groupby("word").aggregate(Sum("n", alias_name="n"))
-    top = (counts.sort(["n", "word"], descending=[True, False])
+    top = (word_counts(ds, text_col)
+           .sort(["n", "word"], descending=[True, False])
            .limit(vocab_size).to_pandas())
     vref = ray.put((pa.array(top["word"], type=pa.string()),
                     np.arange(len(top), dtype=np.int64)))
@@ -601,9 +591,6 @@ def term_search(ds, terms: list[str], *, k: int = 20,
     """
     import math
 
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     term_arr = pa.array(sorted(set(terms)), type=pa.string())
     n_docs = ds.count()
 
@@ -612,32 +599,20 @@ def term_search(ds, terms: list[str], *, k: int = 20,
                                            term_filter=term_arr),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    def df_partial(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select(["word"]), ["word"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["word", "df"])
-
-    dfs = (matched.map_batches(df_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                  .groupby("word")
-                  .aggregate(Sum("df", alias_name="df"))).to_pandas()
+    dfs = combine_pandas(matched, ["word"], {"df": ([], "count_all")})
     idf = {w: int(math.floor(math.log(n_docs / d) * 1_000_000))
            for w, d in zip(dfs["word"], dfs["df"])}
     widf = pa.table({"word": pa.array(list(idf)),
                      "_idf": pa.array(list(idf.values()),
                                       type=pa.int64())})
 
-    def score_partial(b: pa.Table) -> pa.Table:
+    def score_rows(b: pa.Table) -> pa.Table:
         ix = pc.index_in(b["word"], value_set=widf["word"])
-        sc = widf["_idf"].take(ix)
-        t = pa.table({id_col: b[id_col], "score": sc})
-        g = pa.TableGroupBy(t, [id_col]).aggregate([("score", "sum")])
-        return g.rename_columns([id_col, "score"])
+        return pa.table({id_col: b[id_col], "score": widf["_idf"].take(ix)})
 
-    scores = (matched.map_batches(score_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                     .groupby(id_col)
-                     .aggregate(Sum("score", alias_name="score")))
+    scores = combine(matched.map_batches(score_rows, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                     [id_col], {"score": ("score", "sum")})
 
     def local_topk(b: pa.Table) -> pa.Table:
         df = b.to_pandas().sort_values(
@@ -741,26 +716,12 @@ def source_divergence(ds, *, text_col: str = "text",
     exchange is sources×V-bounded. The final KL arithmetic runs on a
     sources×V driver table. Returns a pandas DataFrame
     (group_col, n_words, kl_units) sorted by group."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
-    def word_counts(b: pa.Table) -> pa.Table:
-        words = _words(b[text_col])
-        flat = words.values[words.offsets[0].as_py():
-                            words.offsets[-1].as_py()]
-        g = pa.TableGroupBy(pa.table({"word": flat}),
-                            ["word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["word", "n"])
-
-    counts = (ds.select_columns([text_col])
-                .map_batches(word_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby("word").aggregate(Sum("n", alias_name="n")))
-    top = (counts.sort(["n", "word"], descending=[True, False])
-                 .limit(vocab_size).to_pandas())
+    top = (word_counts(ds, text_col)
+           .sort(["n", "word"], descending=[True, False])
+           .limit(vocab_size).to_pandas())
     vocab = pa.array(top["word"], type=pa.string())
 
-    def group_counts(b: pa.Table) -> pa.Table:
+    def group_words(b: pa.Table) -> pa.Table:
         words = _words(b[text_col])
         off = words.offsets.to_numpy(zero_copy_only=False) \
                    .astype(np.int64)
@@ -772,17 +733,12 @@ def source_divergence(ds, *, text_col: str = "text",
         grp = b[group_col]
         if isinstance(grp, pa.ChunkedArray):
             grp = grp.combine_chunks()
-        t = pa.table({group_col: grp.take(pa.array(rows[mv])),
-                      "word": flat.filter(m)})
-        g = pa.TableGroupBy(t, [group_col, "word"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, "word", "n"])
+        return pa.table({group_col: grp.take(pa.array(rows[mv])),
+                         "word": flat.filter(m)})
 
-    sv = (ds.select_columns([group_col, text_col])
-            .map_batches(group_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby([group_col, "word"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
+    sv = combine_pandas(ds.map_batches(group_words, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        [group_col, "word"], {"n": ([], "count_all")})
 
     n = sv["n"].to_numpy(dtype=np.int64)
     cs = sv.groupby(group_col)["n"].transform("sum") \

@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .aggregate import combine, combine_pandas
 from .exchange import bucket_exchange
 
 
@@ -271,8 +272,6 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
     def pairs(b: pa.Table) -> pa.Table:
         h = pc.floor_temporal(b[ts_col], unit="hour")
         if isinstance(h, pa.ChunkedArray):
@@ -303,10 +302,9 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         ds.select_columns([key_col, ts_col]).map_batches(
             pairs, batch_format="pyarrow", zero_copy_batch=True),
         key_col, per_bucket, num_buckets=num_buckets, batch_format="pandas")
-    final = (parts.groupby("ts_hour")
-                  .aggregate(Sum("active", alias_name="n_active"),
-                             Sum("retained", alias_name="n_retained"))
-             ).to_pandas()
+    final = combine_pandas(parts, ["ts_hour"],
+                           {"n_active": ("active", "sum"),
+                            "n_retained": ("retained", "sum")})
     final["n_active"] = final["n_active"].astype("int64")
     final["n_retained"] = final["n_retained"].astype("int64")
     return final.sort_values("ts_hour", ignore_index=True)
@@ -331,8 +329,6 @@ def session_type_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     (type_a, type_b, n_sessions) with type_a < type_b."""
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         keys = g[key_col].to_numpy()
@@ -356,5 +352,5 @@ def session_type_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     parts = bucket_exchange(
         ds.select_columns([key_col, ts_col, order_col, type_col]), key_col,
         per_bucket, num_buckets=num_buckets, batch_format="pandas")
-    return parts.groupby(["type_a", "type_b"]).aggregate(
-        Sum("n_sessions", alias_name="n_sessions"))
+    return combine(parts, ["type_a", "type_b"],
+                   {"n_sessions": ("n_sessions", "sum")})

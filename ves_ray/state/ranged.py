@@ -51,19 +51,10 @@ def choose_bounds(ds, value_col: str, num_partitions: int) -> list[int]:
     the distributed (value, count) histogram — one histogram-sized
     exchange, never a row-scale gather. Returns ``num_partitions - 1``
     ascending bounds; partition of v = searchsorted(bounds, v, 'right')."""
-    from ray.data.aggregate import Sum
+    from ..stages.aggregate import combine_pandas
 
-    def local(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select([value_col]), [value_col]) \
-              .aggregate([([], "count_all")])
-        return g.rename_columns([value_col, "n"])
-
-    hist = (ds.select_columns([value_col])
-              .map_batches(local, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby(value_col)
-              .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    hist = hist.sort_values(value_col, ignore_index=True)
+    hist = (combine_pandas(ds, [value_col], {"n": ([], "count_all")})
+            .sort_values(value_col, ignore_index=True))
     cum = hist["n"].to_numpy(dtype=np.int64).cumsum()
     total = int(cum[-1]) if len(cum) else 0
     bounds: list[int] = []
