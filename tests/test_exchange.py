@@ -125,20 +125,20 @@ def test_exchange_under_a_small_dataset_target():
     assert _check_same_as_map_groups(ds, 64) == num_partitions(ds, 64)
 
 
-def test_exchange_multi_key_and_pandas():
-    """Two keys combine their hashes; a pandas kernel sees whole
-    (a, b) groups and never the bucket column."""
+def test_exchange_multi_key():
+    """Two keys combine their hashes; the kernel sees whole (a, b)
+    groups and never the bucket column."""
     rng = np.random.default_rng(11)
     t = pa.table({"a": rng.integers(0, 20, 4_000),
                   "b": pa.array([f"s{i}" for i in rng.integers(0, 7, 4_000)]),
                   "v": np.ones(4_000, dtype=np.int64)})
 
-    def kernel(g):
-        assert list(g.columns) == ["a", "b", "v"]
-        return g.groupby(["a", "b"], as_index=False)["v"].sum()
+    def kernel(g: pa.Table) -> pa.Table:
+        assert g.column_names == ["a", "b", "v"]
+        return pa.TableGroupBy(g, ["a", "b"]).aggregate([("v", "sum")]) \
+            .select(["a", "b", "v_sum"]).rename_columns(["a", "b", "v"])
 
-    got = (bucket_exchange(rd.from_arrow(t), ["a", "b"], kernel,
-                           batch_format="pandas")
+    got = (bucket_exchange(rd.from_arrow(t), ["a", "b"], kernel)
            .to_pandas().sort_values(["a", "b"], ignore_index=True))
     exp = (t.to_pandas().groupby(["a", "b"], as_index=False)["v"].sum()
            .sort_values(["a", "b"], ignore_index=True))
@@ -328,31 +328,24 @@ def test_join_reads_keep_their_own_block_target(tmp_path):
     assert 1 <= n <= read_blocks(32_000 * 16), blocks
 
 
-def _groups_fn():
+def _groups_fn(g: pa.Table) -> pa.Table:
     """Per-group fn: the group's key, rows and value sum, and a check
     that the group is whole (the key's full row count)."""
-    def fn(g):
-        if isinstance(g, pa.Table):
-            k = g["k"].unique()
-            assert len(k) == 1
-            return pa.table({"k": k, "n": [len(g)],
-                             "v": [pc.sum(g["v"]).as_py()]})
-        assert g["k"].nunique() == 1
-        return pd.DataFrame({"k": [g["k"].iloc[0]], "n": [len(g)],
-                             "v": [int(g["v"].sum())]})
-    return fn
+    k = g["k"].unique()
+    assert len(k) == 1
+    return pa.table({"k": k, "n": [len(g)], "v": [pc.sum(g["v"]).as_py()]})
 
 
-@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+@pytest.mark.parametrize("batch_format", ["pyarrow"])
 def test_exchange_groups_matches_map_groups(batch_format):
     """Many groups per partition and one hot group: one call per whole
     group, and the same rows as Ray's ``map_groups``."""
     rng = np.random.default_rng(23)
     keys = np.where(rng.random(8_000) < 0.5, 3, rng.integers(0, 700, 8_000))
     ds = _dataset(keys)
-    got = (exchange_groups(ds, "k", _groups_fn(), batch_format=batch_format)
+    got = (exchange_groups(ds, "k", _groups_fn)
            .to_pandas().sort_values("k", ignore_index=True))
-    exp = (ds.groupby("k").map_groups(_groups_fn(), batch_format=batch_format)
+    exp = (ds.groupby("k").map_groups(_groups_fn, batch_format=batch_format)
            .to_pandas().sort_values("k", ignore_index=True))
     assert got["k"].is_unique
     assert got.equals(exp)
@@ -373,7 +366,7 @@ def test_exchange_groups_calls_once_per_group_never_for_empty():
         assert len(g) == 25 and g.column_names == ["k", "v"]
         return pa.table({"k": g["k"].slice(0, 1), "call": [uuid.uuid4().hex]})
 
-    got = exchange_groups(ds, "k", fn, batch_format="pyarrow").to_pandas()
+    got = exchange_groups(ds, "k", fn).to_pandas()
     assert len(got) == got["call"].nunique() == 40
     assert got["k"].tolist() == sorted(low.tolist())
 
@@ -386,12 +379,11 @@ def test_exchange_groups_two_sides_multi_key_nulls():
                   "v": [1, 2, 3, 4, 5, 6]})
     sides = [rd.from_arrow(t.slice(0, 3)), rd.from_arrow(t.slice(3))]
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"a": g["a"].iloc[:1], "b": g["b"].iloc[:1],
-                             "v": [int(g["v"].sum())]})
+    def fn(g: pa.Table) -> pa.Table:
+        return pa.table({"a": g["a"].slice(0, 1), "b": g["b"].slice(0, 1),
+                         "v": [pc.sum(g["v"]).as_py()]})
 
-    got = exchange_groups(sides, ["a", "b"], fn, batch_format="pandas") \
-        .to_pandas()
+    got = exchange_groups(sides, ["a", "b"], fn).to_pandas()
     got = {(None if pd.isna(a) else int(a), b): v
            for a, b, v in got.itertuples(index=False)}
     assert got == {(1, "x"): 7, (1, "y"): 2, (None, "x"): 7, (2, "x"): 5}
@@ -433,3 +425,51 @@ def test_no_map_groups_in_the_package():
              for i, line in enumerate(p.read_text().splitlines(), 1)
              if re.search(r"\.map_groups\(", line)]
     assert not calls
+
+
+def test_no_second_kernel_format():
+    """Every exchange kernel takes and returns a ``pa.Table``: no module
+    of the package asks for pandas batches, and neither exchange takes
+    a ``batch_format``."""
+    import inspect
+    root = pathlib.Path(__file__).resolve().parents[1] / "ves_ray"
+    calls = [f"{p.relative_to(root)}:{i}"
+             for p in root.rglob("*.py")
+             for i, line in enumerate(p.read_text().splitlines(), 1)
+             if 'batch_format="pandas"' in line]
+    assert not calls
+    for fn in (bucket_exchange, exchange_groups):
+        assert "batch_format" not in inspect.signature(fn).parameters
+
+
+def test_exchange_on_few_keys_keeps_arrow_blocks_and_types():
+    """``event_gaps`` keyed by five string event types over 64 buckets:
+    one of the four partitions gets no rows, and the partition of the
+    one type with a single event (no gaps) returns no rows. Every
+    output block is a ``pa.Table`` whose key column is a string, the
+    empty one included, never null-typed."""
+    from ves_ray.stages.window import event_gaps
+
+    names = np.array([f"type_{i}" for i in range(100)])
+    part = _bucket_of(pa.array(names), 64) // 16    # 4 partitions
+    lonely = names[part == 0][0]
+    busy = [*names[part == 1][:2], *names[part == 2][:2]]
+    types = [lonely] + busy * 3
+    t = pa.table({
+        "event_type": types,
+        "event_id": np.arange(len(types), dtype=np.int64),
+        "ts": pa.array(np.arange(len(types)) * 1_000_000,
+                       pa.timestamp("us"))})
+    ds = rd.from_arrow(t)
+    assert num_partitions(ds, 64) == 4
+    out = event_gaps(ds, key_col="event_type", num_buckets=64)
+    blocks = ray.get([ref for bundle in out.iter_internal_ref_bundles()
+                      for ref in bundle.block_refs])
+    assert all(isinstance(b, pa.Table) for b in blocks)
+    typed = [b for b in blocks if "event_type" in b.column_names]
+    assert all(b.schema.field("event_type").type == pa.string()
+               for b in typed)
+    assert any(len(b) == 0 for b in typed)
+    got = pa.concat_tables(typed).to_pandas()
+    assert sorted(got["event_type"]) == sorted(busy)
+    assert (got["n_gaps"] == 2).all()

@@ -259,3 +259,32 @@ def test_curriculum_rank_is_band_major_shuffle():
     want = collections.Counter(bands.tolist())
     got = collections.Counter(out["band"].tolist())
     assert got == want
+
+
+def _no_rows():
+    """An input without rows, twice: an empty table, and a filter that
+    drops every row of a real one (``Dataset.to_pandas()`` of either
+    has no columns)."""
+    t = pa.table({"id": pa.array(np.arange(40), pa.int64()),
+                  "x": pa.array(np.arange(40), pa.int64()),
+                  "w": pa.array(np.ones(40), pa.float64()),
+                  "s": pa.array(["a", "b"] * 20)})
+    return [rd.from_arrow(t.slice(0, 0)),
+            rd.from_arrow(t).filter(expr="x > 100")], t.schema
+
+
+def test_bottom_k_sample_without_rows_is_typed():
+    dss, schema = _no_rows()
+    for ds in dss:
+        out = bottom_k_sample(ds, k=3, id_col="id")
+        assert out.num_rows == 0
+        assert out.schema == schema.append(pa.field("h", pa.uint64()))
+
+
+def test_weighted_sample_k_without_rows_is_typed():
+    from ves_ray.stages.sampling import weighted_sample_k
+    dss, schema = _no_rows()
+    for ds in dss:
+        out = weighted_sample_k(ds, k=3, id_col="id", weight_col="w")
+        assert out.num_rows == 0
+        assert out.schema == schema

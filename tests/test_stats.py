@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray.data as rd
 from ves_ray.stages.stats import grouped_zscore_outliers
@@ -322,3 +323,25 @@ def test_grouped_percent_rank_banded_near_unique_values():
     pd.testing.assert_series_equal(
         out["pct_rank"], exp.rename("pct_rank"), check_exact=True)
     assert out.loc[out["id"] == n - 1, "pct_rank"].iloc[0] == 0.0
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_grouped_percent_rank_without_rows(banded):
+    """An empty input and a filter that drops every row: no rows, and
+    the id, group and value columns plus a float64 ``pct_rank``
+    (``Dataset.to_pandas()`` of the empty histogram has no columns)."""
+    from ves_ray.stages.stats import (grouped_percent_rank,
+                                      grouped_percent_rank_banded)
+    rank = grouped_percent_rank_banded if banded else grouped_percent_rank
+    t = pa.table({"id": pa.array(np.arange(30), pa.int64()),
+                  "x": pa.array(np.arange(30), pa.int64()),
+                  "event_type": pa.array(["a", "b", "c"] * 10)})
+    for ds in (rd.from_arrow(t.slice(0, 0)),
+               rd.from_arrow(t).filter(expr="x > 100")):
+        out = rank(ds, group_col="event_type", value_col="x",
+                   id_cols=["id"])
+        assert out.count() == 0
+        schema = out.schema()
+        assert dict(zip(schema.names, schema.types)) == {
+            "event_type": pa.string(), "x": pa.int64(), "id": pa.int64(),
+            "pct_rank": pa.float64()}

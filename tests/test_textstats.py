@@ -354,3 +354,17 @@ def test_source_divergence_zero_for_identical_mixes():
     # n_words = within-vocab word count per source
     assert dict(zip(out["source"], out["n_words"])) == \
         {"a": 5, "b": 5, "c": 6}
+
+
+def test_unigram_logprob_without_rows():
+    """An empty input and a filter that drops every row score no rows
+    (the empty vocabulary has no columns through
+    ``Dataset.to_pandas()``)."""
+    import ray.data as rd
+
+    from ves_ray.stages.textstats import unigram_logprob
+    t = pa.table({"doc_id": pa.array(np.arange(10), pa.int64()),
+                  "text": pa.array(["a b c"] * 10)})
+    for ds in (rd.from_arrow(t.slice(0, 0)),
+               rd.from_arrow(t).filter(expr="doc_id > 100")):
+        assert unigram_logprob(ds).count() == 0

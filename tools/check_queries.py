@@ -23,7 +23,10 @@ SUM(hash(ROW(...))) — order-insensitive, exact (HUGEINT sum).
 tasks run on every node, so point it at a mount every node sees.
 
 Each record counts Ray Data's "RefBundle with a different schema"
-warnings (``schema_warnings``); the last line printed sums them.
+warnings (``schema_warnings``) and those of them that name a pandas
+block (``pandas_schema_warnings``); the last line printed sums both.
+Every operator of the package emits Arrow blocks, so a warning that
+names a ``PandasBlockSchema`` makes the run exit non-zero.
 """
 
 from __future__ import annotations
@@ -120,12 +123,16 @@ def sink_compare(con, ds, sql: str,
 
 class SchemaWarnings(logging.Handler):
     """Counts Ray Data's "different schema" warnings (the streaming
-    executor logs them in the driver, on the ``ray.data`` logger)."""
+    executor logs them in the driver, on the ``ray.data`` logger), and
+    in ``pandas`` those that name a pandas block."""
     count = 0
+    pandas = 0
 
     def emit(self, record):
         msg = record.getMessage()
-        self.count += "RefBundle with a different schema" in msg
+        if "RefBundle with a different schema" in msg:
+            self.count += 1
+            self.pandas += "PandasBlockSchema" in msg
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -244,16 +251,18 @@ def main() -> int:
     for name, fn in e.queries().items():
         if only and name not in only:
             continue
-        warns.count = 0
+        warns.count = warns.pandas = 0
         records[name] = check_one(e, con, name, fn, oracles.get(name),
                                   sf_dir, args.from_sink, args.sink_dir)
         records[name]["schema_warnings"] = warns.count
+        records[name]["pandas_schema_warnings"] = warns.pandas
     ray.shutdown()
     failures = sum(r["status"] in ("fail", "error", "oracle_error")
                    for r in records.values())
     n_warn = sum(r["schema_warnings"] for r in records.values())
+    n_pandas = sum(r["pandas_schema_warnings"] for r in records.values())
     print(f"{len(records)} checked, {failures} failed, "
-          f"{n_warn} schema warnings")
+          f"{n_warn} schema warnings, {n_pandas} naming a pandas block")
     if args.json:
         import json
         n_pass = sum(r["status"] == "pass" for r in records.values())
@@ -266,10 +275,11 @@ def main() -> int:
                "rows_only": n_rows_only,
                "fail_or_error": len(records) - n_pass - n_rows_only,
                "schema_warnings": n_warn,
+               "pandas_schema_warnings": n_pandas,
                "queries": records}
         with open(args.json, "w") as f:
             json.dump(out, f, indent=1, sort_keys=True)
-    return 1 if failures else 0
+    return 1 if failures or n_pandas else 0
 
 
 if __name__ == "__main__":

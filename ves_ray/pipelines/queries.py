@@ -26,7 +26,7 @@ from ..hashing import round_half_away, sql_splitmix64
 from ..sources.sequences import documents_as_sequences, read_parquet_sized
 from ..stages import aggregate as agg
 from ..stages import dedup, parse, similarity, textstats
-from ..stages.exchange import bucket_exchange, exchange_groups
+from ..stages.exchange import _group_starts, bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
 # shared: the derived lookup for driver testdata sources ("srcK")
@@ -310,20 +310,20 @@ def q_user_running_value(sf_dir: str):
     vectorized multi-user cumsum per partition."""
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
-        run = g.groupby("user_id", sort=False)["value_cents"].cumsum()
-        return pd.DataFrame({
-            "user_id": g["user_id"].to_numpy(),
-            "event_id": g["event_id"].to_numpy(),
-            "running_cents": run.to_numpy().astype(np.int64)})
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        starts = _group_starts(t, ["user_id"])
+        cs = np.cumsum(t["value_cents"].to_numpy())
+        # minus the running total before each user's first row
+        before = np.repeat(np.append(0, cs)[starts[:-1]], np.diff(starts))
+        return pa.table({"user_id": t["user_id"], "event_id": t["event_id"],
+                         "running_cents": cs - before})
 
     cents = ds.map_batches(
         lambda b: b.append_column("value_cents", _cents(b["value"])),
         batch_format="pyarrow", zero_copy_batch=True)
-    return bucket_exchange(cents, "user_id", per_bucket,
-                           batch_format="pandas")
+    return bucket_exchange(cents, "user_id", per_bucket)
 
 
 SQL_USER_RUNNING_VALUE = """
@@ -1952,14 +1952,12 @@ def q_value_quantiles(sf_dir: str):
     query surface."""
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def qs(g: pd.DataFrame) -> pd.DataFrame:
-        v = g["value"].to_numpy(dtype=np.float64)
-        p25, p50, p95 = np.percentile(v, [25, 50, 95])
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                             "p25": [round(p25, 6)], "p50": [round(p50, 6)],
-                             "p95": [round(p95, 6)]})
+    def qs(g: pa.Table) -> pa.Table:
+        p = np.round(np.percentile(g["value"].to_numpy(), [25, 50, 95]), 6)
+        return pa.table({"event_type": g["event_type"].slice(0, 1),
+                         "p25": p[:1], "p50": p[1:2], "p95": p[2:]})
 
-    return exchange_groups(ds, "event_type", qs, batch_format="pandas")
+    return exchange_groups(ds, "event_type", qs)
 
 
 SQL_VALUE_QUANTILES = """
@@ -1985,14 +1983,16 @@ def q_events_hourly_ma(sf_dir: str):
     prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     hourly = agg.grouped_counts(prepped, ["event_type", "ts_hour"])
 
-    def rolling(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts_hour", ignore_index=True)
-        g["ma3"] = (g["events"].rolling(3, min_periods=1).mean()
-                    .round(6))
-        return g
+    def rolling(g: pa.Table) -> pa.Table:
+        g = g.sort_by("ts_hour")
+        # mean of the row and up to two before it
+        cs = np.append(0, np.cumsum(g["events"].to_numpy()))
+        hi = np.arange(1, len(g) + 1)
+        lo = np.maximum(hi - 3, 0)
+        return g.append_column(
+            "ma3", pa.array(np.round((cs[hi] - cs[lo]) / (hi - lo), 6)))
 
-    return exchange_groups(hourly, "event_type", rolling,
-                           batch_format="pandas")
+    return exchange_groups(hourly, "event_type", rolling)
 
 
 SQL_EVENTS_HOURLY_MA = """

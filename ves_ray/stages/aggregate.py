@@ -36,9 +36,11 @@ shuffling the corpus (NOTES.md "One aggregation path").
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .exchange import bucket_exchange
+from .exchange import _group_starts, bucket_exchange
 
 
 def _grouper(keys: list[str], aggs: dict):
@@ -113,6 +115,32 @@ def combine_pandas(ds, keys, aggs: dict):
     return _combined(ds, keys, aggs).to_pandas()
 
 
+def gather(ds, empty) -> pa.Table:
+    """Every row of ``ds`` as one ``pa.Table`` on the driver, or
+    ``empty()`` when there is none: Ray keeps no columns for a result
+    without rows (``Dataset.to_pandas()`` gives a 0×0 frame), so the
+    caller types it, usually from its input's schema
+    (:func:`empty_like`)."""
+    import ray
+    # the blocks as they are: ``to_arrow_refs`` adds a task per block
+    tables = [t for t in ray.get([ref for bundle
+                                  in ds.iter_internal_ref_bundles()
+                                  for ref in bundle.block_refs])
+              if len(t)]
+    if not tables:
+        return empty()
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def empty_like(ds) -> pa.Table:
+    """A table of ``ds``'s columns and no rows (no columns when Ray
+    cannot tell them)."""
+    schema = ds.schema()
+    if schema is None:
+        return pa.table({})
+    return pa.schema(zip(schema.names, schema.types)).empty_table()
+
+
 def grouped_counts(ds, keys: list[str], sum_col: str | None = None):
     """groupby(keys) → events:=count(*) [, n_tok_sum:=sum(sum_col)]."""
     aggs = {"events": ([], "count_all")}
@@ -138,24 +166,25 @@ def pivot_counts(ds, *, key_col: str, col_col: str, values: list[str],
     per (fixed, known) value of ``col_col``. Two-phase like
     ``combine``: block-local partial counts shrink the exchange to
     O(keys × values × blocks), then one ``bucket_exchange`` on the key
-    sums and reshapes each partition's partials with one vectorized
-    ``pivot_table`` (never one call per key). An unbounded/unknown
-    column domain needs the exploded long form instead (see
-    source_histogram) — pivot output width must be static."""
-    import numpy as np
-    import pandas as pd
-
+    sums and reshapes each partition's partials: one masked
+    ``add.reduceat`` over the key runs per value (never one call per
+    key). Null keys and values drop out, as in a pandas ``pivot_table``.
+    An unbounded/unknown column domain needs the exploded long form
+    instead (see source_histogram) — pivot output width must be
+    static."""
     partial = ds.map_batches(
         _grouper([key_col, col_col], {"events": ([], "count_all")}),
         batch_format="pyarrow", zero_copy_batch=True)
-    out_cols = [f"n_{v}" for v in values]
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        w = g.pivot_table(index=key_col, columns=col_col,
-                          values="events", aggfunc="sum", fill_value=0)
-        w = w.reindex(columns=values, fill_value=0).astype(np.int64)
-        w.columns = out_cols
-        return w.reset_index()
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[key_col])).sort_by(key_col)
+        first = _group_starts(t, [key_col])[:-1]
+        events = t["events"].to_numpy()
+        out = {key_col: t[key_col].take(first)}
+        for v in values:
+            m = pc.fill_null(pc.equal(t[col_col], v), False).to_numpy()
+            out[f"n_{v}"] = np.add.reduceat(np.where(m, events, 0), first)
+        return pa.table(out)
 
     return bucket_exchange(partial, key_col, per_bucket,
-                           num_buckets=num_buckets, batch_format="pandas")
+                           num_buckets=num_buckets)

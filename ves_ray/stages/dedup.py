@@ -21,11 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..hashing import (MASK63, U64, hash2, hash_strings, round_half_away,
                        splitmix64)
-from .aggregate import combine, combine_pandas
-from .exchange import bucket_exchange, exchange_groups
+from .aggregate import _grouper, combine, combine_pandas
+from .exchange import _group_starts, bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -63,22 +64,20 @@ def exact_dedup_keep(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     Full rows must co-locate with their duplicates, so this pays one
     hash-bucket exchange of the corpus (unavoidable for row output);
-    inside each bucket one vectorized sort + drop_duplicates picks
-    winners. The 63-bit content hash is uniform — buckets balance with
+    inside each bucket one vectorized sort picks the first row of each
+    hash run. The 63-bit content hash is uniform — buckets balance with
     no skew handling."""
-    import pandas as pd
-
     hashed = ds.map_batches(
         lambda b: content_hash_batch(b, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["content_hash", id_col], kind="mergesort")
-        out = g.drop_duplicates("content_hash", keep="first")
-        return out.drop(columns=["content_hash"])
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("content_hash", "ascending"), (id_col, "ascending")])
+        return (t.take(_group_starts(t, ["content_hash"])[:-1])
+                .drop_columns(["content_hash"]))
 
     return bucket_exchange(hashed, "content_hash", per_bucket,
-                           num_buckets=num_buckets, batch_format="pandas")
+                           num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,6 @@ def _word_shingle_hashes(text: pa.ChunkedArray | pa.Array, n: int,
     whitespace word sequence. Returns (flat_hashes, row_offsets).
     Fully vectorized: word hashes once, then a rolling combine of n
     shifted views."""
-    import pyarrow.compute as pc
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
@@ -177,8 +175,6 @@ def _collision_key_set(keys_ds, key_col: str) -> pd.DataFrame:
     small groupby over partials → keys with n > 1. Only the colliding
     KEY SET (candidate-scale, near-dup-sparse by construction) reaches
     the driver — never rows."""
-    import pyarrow.compute as pc
-
     counts = combine(keys_ds, [key_col], {"n": ([], "count_all")})
     return counts.map_batches(
         lambda b: b.filter(pc.greater(b["n"], 1)),
@@ -190,13 +186,12 @@ def _bucket_pair_gen(id_col: str, max_bucket: int):
     vectorized (triu indices over the sorted unique ids). Buckets over
     ``max_bucket`` are dropped — a degenerate key would otherwise emit
     O(n²) pairs."""
-    def pairs(g: pa.Table) -> pd.DataFrame:
-        ids = np.unique(np.asarray(g[id_col].to_pylist()))
+    def pairs(g: pa.Table) -> pa.Table:
+        ids = pc.unique(g[id_col])
+        ids = ids.take(pc.sort_indices(ids))
         m = len(ids)
-        if m < 2 or m > max_bucket:
-            return pd.DataFrame({"doc_a": ids[:0], "doc_b": ids[:0]})
-        ia, ib = np.triu_indices(m, k=1)
-        return pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib]})
+        ia, ib = np.triu_indices(m if m <= max_bucket else 0, k=1)
+        return pa.table({"doc_a": ids.take(ia), "doc_b": ids.take(ib)})
     return pairs
 
 
@@ -213,8 +208,6 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
     the COLLIDING keys only (sparse), so no
     row-scale data ever reaches the driver; only the final pair set
     (output-scale) does. Returns a pandas DataFrame (doc_a, doc_b)."""
-    import pyarrow.compute as pc
-
     sigs = ds.map_batches(
         lambda b: minhash_signatures_batch(b, text_col=text_col,
                                            num_perm=num_perm, shingle_n=shingle_n),
@@ -240,8 +233,7 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
     hits = keys.map_batches(only_collisions, batch_format="pyarrow",
                             zero_copy_batch=True)
     out = exchange_groups(hits, "band_key",
-                          _bucket_pair_gen(id_col, max_bucket),
-                          batch_format="pyarrow").to_pandas()
+                          _bucket_pair_gen(id_col, max_bucket)).to_pandas()
     return out.drop_duplicates(ignore_index=True)
 
 
@@ -279,18 +271,14 @@ def _verify_jaccard_bucket(pairs_ref, id_col: str, threshold: float):
     set-Jaccard for every pair, fully vectorized via a sort-merge
     intersection — no docs × shingles incidence matrix, memory
     O(shingles in bucket)."""
-    def verify(g: pa.Table) -> pd.DataFrame:
+    def verify(g: pa.Table) -> pa.Table:
         import ray
         by_bucket = ray.get(pairs_ref)
         bucket = int(g["bucket"][0].as_py())
-        sub = by_bucket.get(bucket)
-        empty = pd.DataFrame(columns=["doc_a", "doc_b", "jaccard"])
-        if sub is None:
-            return empty
-        doc_a, doc_b = sub
-        ids = np.asarray(g[id_col].to_pylist())
+        id_type = g.schema.field(id_col).type
+        doc_a, doc_b = by_bucket[bucket]
         flat, off = _unpack_u64_binary(g["sh"])
-        m = len(ids)
+        m = len(g)
         lens = np.diff(off)
         # per-doc DISTINCT shingles, computed once per doc (not per pair)
         rowcode = np.repeat(np.arange(m), lens)
@@ -302,15 +290,12 @@ def _verify_jaccard_bucket(pairs_ref, id_col: str, threshold: float):
         dl = np.bincount(rs[first], minlength=m)
         off_d = np.concatenate(([0], np.cumsum(dl)))
         # map pair endpoints to group rows; drop pairs missing a doc
-        idx = pd.Index(ids)
-        ai = idx.get_indexer(doc_a)
-        bi = idx.get_indexer(doc_b)
+        ai, bi = (pc.fill_null(pc.index_in(pa.array(d, id_type),
+                                           value_set=g[id_col]), -1)
+                  .to_numpy() for d in (doc_a, doc_b))
         ok = (ai >= 0) & (bi >= 0)
         ai, bi = ai[ok], bi[ok]
-        da, db = np.asarray(doc_a)[ok], np.asarray(doc_b)[ok]
         npairs = len(ai)
-        if npairs == 0:
-            return empty
 
         def gather(rows):        # distinct-shingle stream of one side
             start, ln = off_d[rows], dl[rows]
@@ -332,8 +317,9 @@ def _verify_jaccard_bucket(pairs_ref, id_col: str, threshold: float):
         jac = np.divide(inter, union, out=np.zeros_like(inter),
                         where=union > 0)
         keep = jac >= threshold
-        return pd.DataFrame({"doc_a": da[keep], "doc_b": db[keep],
-                             "jaccard": jac[keep]})
+        return pa.table({"doc_a": g[id_col].take(ai[keep]),
+                         "doc_b": g[id_col].take(bi[keep]),
+                         "jaccard": jac[keep]})
     return verify
 
 
@@ -354,7 +340,6 @@ def jaccard_pairs(ds, candidate_pairs: pd.DataFrame, *, text_col: str = "text",
     verify fn runs a vectorized sort-merge intersection against its
     pair sublist. No hash join, no driver-side row-scale data; pairs
     whose doc is missing from the corpus are dropped."""
-    import pyarrow.compute as pc
     import ray
 
     if len(candidate_pairs) == 0:
@@ -424,7 +409,6 @@ def jaccard_pairs(ds, candidate_pairs: pd.DataFrame, *, text_col: str = "text",
                             zero_copy_batch=True)
     out = exchange_groups(doc_sh, "bucket",
                           _verify_jaccard_bucket(pairs_ref, id_col, threshold),
-                          batch_format="pyarrow",
                           num_buckets=nbuckets).to_pandas()
     if len(out) == 0:
         return pd.DataFrame(columns=["doc_a", "doc_b", "jaccard"])
@@ -437,7 +421,6 @@ def _strict_shingle_hashes(text: pa.ChunkedArray | pa.Array, n: int,
     semantics: a row with w words yields exactly ``max(w-(n-1), 0)``
     shingles (no clamped singleton for short rows), so cardinalities
     agree with an oracle building n-grams via ``list_transform``."""
-    import pyarrow.compute as pc
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=r"\s+")
@@ -497,8 +480,6 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     group the pairwise intersection is one binary incidence matmul
     (docs × distinct-shingles) — no per-pair Python set ops.
     Returns (doc_a, doc_b, jaccard ≥ threshold)."""
-    import pyarrow.compute as pc
-
     import ray
 
     # tiny pre-pass: per-block row counts → per-block split factor k
@@ -537,11 +518,9 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                    .append_column("s_hi", pa.array(hi))
                    .append_column("salt", pa.array(s)))
 
-    def pairs_in_group(group: pa.Table) -> pd.DataFrame:
-        ids = group[id_col].to_numpy(zero_copy_only=False)
+    def pairs_in_group(group: pa.Table) -> pa.Table:
+        ids = group[id_col].to_numpy()
         m = len(ids)
-        if m < 2:
-            return _empty_pairs()
         sh, off = _unpack_u64_binary(group["sh"])
         uniq, inv = np.unique(sh, return_inverse=True)
         inc = np.zeros((m, max(len(uniq), 1)), dtype=np.float32)
@@ -557,8 +536,6 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             salt = group["salt"].to_numpy(zero_copy_only=False)
             a_rows = np.flatnonzero(salt == s_lo)
             b_rows = np.flatnonzero(salt == s_hi)
-            if len(a_rows) == 0 or len(b_rows) == 0:
-                return _empty_pairs()
             ixn = (inc[a_rows] @ inc[b_rows].T).ravel()
             ia = np.repeat(a_rows, len(b_rows))
             ib = np.tile(b_rows, len(a_rows))
@@ -571,14 +548,13 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                         where=union > 0)
         keep = valid & (jac >= threshold)
         a, b = ids[ia[keep]], ids[ib[keep]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"doc_a": lo, "doc_b": hi,
-                             "jaccard": round_half_away(jac[keep], 6)})
+        return pa.table({"doc_a": np.minimum(a, b), "doc_b": np.maximum(a, b),
+                         "jaccard": round_half_away(jac[keep], 6)})
 
     exploded = ds.map_batches(explode_salt_groups, batch_format="pyarrow",
                               zero_copy_batch=True)
     out = exchange_groups(exploded, [block_col, "s_lo", "s_hi"],
-                          pairs_in_group, batch_format="pyarrow").to_pandas()
+                          pairs_in_group).to_pandas()
     if len(out) == 0:
         return _empty_pairs()
     return out.sort_values(["doc_a", "doc_b"], ignore_index=True)
@@ -644,8 +620,6 @@ def fuzzy_dedup_keep(ds, pairs: pd.DataFrame, *, id_col: str = "doc_id",
     label-propagation components + shuffle anti-join) — identical
     output, covered by the parity property test.
     Returns a Dataset of (id, cluster_size)."""
-    import pyarrow.compute as pc
-
     import ray
 
     if len(pairs) > max_driver_pairs:
@@ -699,8 +673,6 @@ def fuzzy_dedup_keep_best(ds, pairs: pd.DataFrame, *,
     full corpus quality column — feeds a driver argmax; the corpus
     then takes the same single broadcast anti-join pass as
     ``fuzzy_dedup_keep``. Returns a Dataset of (id, cluster_size)."""
-    import pyarrow.compute as pc
-
     import ray
 
     if len(pairs) == 0:
@@ -770,7 +742,7 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
 
     Labels are monotonically non-increasing, so a fixpoint is detected
     by an order-insensitive checksum aggregate (no extra join). Every
-    exchange kernel is a vectorized pandas pass over MANY nodes — one
+    exchange kernel is a vectorized Arrow pass over MANY nodes — one
     call per exchange partition, never O(nodes).
 
     ``edges``: Dataset or DataFrame of pairs. Returns a Dataset of
@@ -779,8 +751,17 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
     import ray.data as rd
 
     def exchange(ds, key, kernel):
-        return bucket_exchange(ds, key, kernel, num_buckets=num_buckets,
-                               batch_format="pandas")
+        return bucket_exchange(ds, key, kernel, num_buckets=num_buckets)
+
+    min_label = _grouper(["node"], {"label": ("label", "min")})
+
+    def side(g: pa.Table, s: int) -> pa.Table:
+        return g.filter(pc.equal(g["side"], s))
+
+    def label_of(lab: pa.Table, keys):
+        """The label (``val``) of each of ``keys`` that is a node
+        (``key``) of the label rows ``lab``; null for the others."""
+        return pc.take(lab["val"], pc.index_in(keys, value_set=lab["key"]))
 
     if isinstance(edges, pd.DataFrame):
         if len(edges) == 0:
@@ -806,10 +787,10 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
                             zero_copy_batch=True)
 
     # -- initial labels: min(node, min neighbor), one keyed exchange --
-    def init_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("node", as_index=False)["nbr"].min()
-        lab = np.minimum(m["nbr"].to_numpy(), m["node"].to_numpy())
-        return pd.DataFrame({"node": m["node"].to_numpy(), "label": lab})
+    def init_bucket(g: pa.Table) -> pa.Table:
+        m = min_label(g.rename_columns(["node", "label"]))
+        return pa.table({"node": m["node"], "label": pc.min_element_wise(
+            m["label"], m["node"])})
 
     labels = exchange(adj, "node", init_bucket).materialize()
 
@@ -828,20 +809,13 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
             "side": pa.array(np.ones(len(b), dtype=np.int8)),
             "key": b["node"], "val": b["label"]})
 
-    def propagate_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g.loc[g["side"] == 1]
-        lut = pd.Series(lab["val"].to_numpy(), index=lab["key"].to_numpy())
-        pr = g.loc[g["side"] == 0]
-        cand = lut.reindex(pr["key"].to_numpy()).to_numpy()
-        nodes = np.concatenate((pr["val"].to_numpy(),
-                                lab["key"].to_numpy()))
-        labs = np.concatenate((cand, lab["val"].to_numpy()))
-        out = pd.DataFrame({"node": nodes, "label": labs})
-        # partition-local partial min before the per-node exchange
-        return out.groupby("node", as_index=False)["label"].min()
-
-    def min_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("node", as_index=False)["label"].min()
+    def propagate_bucket(g: pa.Table) -> pa.Table:
+        # each node's own label and each probe's neighbor's label; the
+        # partition-local partial min goes before the per-node exchange
+        lab, pr = side(g, 1), side(g, 0)
+        return min_label(pa.concat_tables([
+            pa.table({"node": pr["val"], "label": label_of(lab, pr["key"])}),
+            pa.table({"node": lab["key"], "label": lab["val"]})]))
 
     # pointer jump: queries keyed by label (carrying node), index
     # keyed by node (carrying label) — label' = label(label)
@@ -850,16 +824,11 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
             "side": pa.array(np.zeros(len(b), dtype=np.int8)),
             "key": b["label"], "val": b["node"]})
 
-    def jump_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g.loc[g["side"] == 1]
-        lut = pd.Series(lab["val"].to_numpy(), index=lab["key"].to_numpy())
-        q = g.loc[g["side"] == 0]
-        l2 = lut.reindex(q["key"].to_numpy()).to_numpy()
-        miss = pd.isna(l2)
-        if miss.any():                      # label not a node: keep it
-            l2 = l2.copy()
-            l2[miss] = q["key"].to_numpy()[miss]
-        return pd.DataFrame({"node": q["val"].to_numpy(), "label": l2})
+    def jump_bucket(g: pa.Table) -> pa.Table:
+        lab, q = side(g, 1), side(g, 0)
+        # a label that is not a node keeps itself
+        return pa.table({"node": q["val"], "label": pc.coalesce(
+            label_of(lab, q["key"]), q["key"])})
 
     def checksum(ds) -> tuple[int, int]:
         from .exchange import _key_hash
@@ -885,7 +854,7 @@ def connected_components_distributed(edges, *, a_col: str = "doc_a",
                                       zero_copy_batch=True)
         labels = exchange(
             exchange([probes, lab_side], "key", propagate_bucket),
-            "node", min_bucket).materialize()  # read twice by the jump
+            "node", min_label).materialize()  # read twice by the jump
         qside = labels.map_batches(jump_query_rows, batch_format="pyarrow",
                                    zero_copy_batch=True)
         iside = labels.map_batches(label_rows, batch_format="pyarrow",
@@ -915,15 +884,14 @@ def fuzzy_dedup_keep_distributed(ds, edges, *, id_col: str = "doc_id",
 
     cc = connected_components_distributed(edges, num_buckets=num_buckets)
 
-    def node_info(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby("root")["node"].transform("size")
-        return pd.DataFrame({
-            id_col: g["node"].to_numpy(),
-            "is_root": (g["node"] == g["root"]).to_numpy().astype(bool),
-            "cluster_size": sizes.to_numpy().astype(np.int64)})
+    def node_info(g: pa.Table) -> pa.Table:
+        g = g.sort_by("root")
+        sizes = np.diff(_group_starts(g, ["root"]))
+        return pa.table({id_col: g["node"],
+                         "is_root": pc.equal(g["node"], g["root"]),
+                         "cluster_size": np.repeat(sizes, sizes)})
 
-    info = bucket_exchange(cc, "root", node_info, num_buckets=num_buckets,
-                           batch_format="pandas")
+    info = bucket_exchange(cc, "root", node_info, num_buckets=num_buckets)
 
     ids = ds.map_batches(lambda b: b.select([id_col]),
                          batch_format="pyarrow", zero_copy_batch=True)
@@ -934,7 +902,6 @@ def fuzzy_dedup_keep_distributed(ds, edges, *, id_col: str = "doc_id",
                               "cluster_size": pa.int64()})
 
     def keep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         mask = pc.fill_null(b["is_root"], True)   # unpaired → singleton
         kept = b.filter(mask)
         size = pc.fill_null(kept["cluster_size"], 1)
@@ -953,7 +920,6 @@ def simhash_batch(batch: pa.Table, *, text_col: str = "text",
                   seed: int = 0x51) -> pa.Table:
     """64-bit SimHash over word hashes (unweighted): sign-sum of the
     bit matrix, vectorized with reduceat over the flat word array."""
-    import pyarrow.compute as pc
     text = batch[text_col]
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
@@ -1002,15 +968,11 @@ def _verify_simhash_bucket(id_col: str, max_hamming: int, max_bucket: int):
     Hamming distances over the (deduped) in-bucket signatures,
     vectorized — the signature travels with the band row so no second
     corpus pass is needed."""
-    def verify(g: pa.Table) -> pd.DataFrame:
-        df = (g.select(["ckey", id_col, "simhash"]).to_pandas()
-               .drop_duplicates(id_col).sort_values(id_col))
-        ids = df[id_col].to_numpy()
-        m = len(ids)
-        if m < 2 or m > max_bucket:
-            return pd.DataFrame({"doc_a": ids[:0], "doc_b": ids[:0],
-                                 "hamming": pd.Series([], dtype=np.int64)})
-        hs = df["simhash"].to_numpy().astype(np.int64).view(np.uint64)
+    def verify(g: pa.Table) -> pa.Table:
+        g = g.sort_by(id_col)
+        g = g.take(_group_starts(g, [id_col])[:-1])
+        m = len(g) if len(g) <= max_bucket else 0
+        hs = g["simhash"].to_numpy()[:m].view(np.uint64)
         x = hs[:, None] ^ hs[None, :]
         ham = np.zeros_like(x, dtype=np.int64)
         while x.any():
@@ -1018,9 +980,9 @@ def _verify_simhash_bucket(id_col: str, max_hamming: int, max_bucket: int):
             x = x >> U64(1)
         ii, jj = np.triu_indices(m, k=1)
         keep = ham[ii, jj] <= max_hamming
-        return pd.DataFrame({"doc_a": ids[ii[keep]],
-                             "doc_b": ids[jj[keep]],
-                             "hamming": ham[ii, jj][keep]})
+        return pa.table({"doc_a": g[id_col].take(ii[keep]),
+                         "doc_b": g[id_col].take(jj[keep]),
+                         "hamming": ham[ii, jj][keep]})
     return verify
 
 
@@ -1036,8 +998,6 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     runs as ``exchange_groups`` over the colliding keys ONLY, each bucket
     vectorized. Only the verified pair set (output-scale) reaches the
     driver."""
-    import pyarrow.compute as pc
-
     sigs = ds.map_batches(lambda b: simhash_batch(b, text_col=text_col),
                           batch_format="pyarrow", zero_copy_batch=True)
     bands = sigs.map_batches(lambda b: simhash_band_batch(b, id_col=id_col),
@@ -1063,8 +1023,8 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                                     value_set=ray.get(wanted_ref))),
         batch_format="pyarrow", zero_copy_batch=True)
     out = exchange_groups(
-        hits, "ckey", _verify_simhash_bucket(id_col, max_hamming, max_bucket),
-        batch_format="pyarrow").to_pandas()
+        hits, "ckey",
+        _verify_simhash_bucket(id_col, max_hamming, max_bucket)).to_pandas()
     return out.drop_duplicates(["doc_a", "doc_b"], ignore_index=True)
 
 
@@ -1088,8 +1048,6 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
     at extreme scale is per-source HLL sketches with
     inclusion-exclusion. Returns a Dataset of
     (source_a, source_b, shared_shingles), source_a < source_b."""
-    import pyarrow.compute as pc
-
     def local_distinct(b: pa.Table) -> pa.Table:
         sh, off = _strict_shingle_hashes(b[text_col], shingle_n, 0x50C)
         lens = np.diff(off)
@@ -1102,38 +1060,25 @@ def source_shingle_overlap(ds, *, text_col: str = "text",
             "sh": pa.array(sh.astype(np.int64))})
         return pa.TableGroupBy(t, [block_col, "sh"]).aggregate([])
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates([block_col, "sh"])
-              .sort_values(["sh", block_col], ignore_index=True))
-        sh = g["sh"].to_numpy()
-        src = g[block_col].to_numpy()
-        n = len(sh)
-        if n == 0:
-            return pd.DataFrame({"source_a": pd.Series([], dtype=object),
-                                 "source_b": pd.Series([], dtype=object),
-                                 "shared_shingles": pd.Series([], dtype="int64")})
-        run_id = np.concatenate(([0], np.cumsum(sh[1:] != sh[:-1])))
-        run_len = np.bincount(run_id)
-        frames = []
-        for offd in range(1, int(run_len.max())):
-            same = run_id[offd:] == run_id[:-offd]
-            if same.any():
-                frames.append(pd.DataFrame({"source_a": src[:-offd][same],
-                                            "source_b": src[offd:][same]}))
-        if not frames:
-            return pd.DataFrame({"source_a": pd.Series([], dtype=object),
-                                 "source_b": pd.Series([], dtype=object),
-                                 "shared_shingles": pd.Series([], dtype="int64")})
-        out = (pd.concat(frames, ignore_index=True)
-                 .groupby(["source_a", "source_b"], as_index=False)
-                 .size().rename(columns={"size": "shared_shingles"}))
-        out["shared_shingles"] = out["shared_shingles"].astype("int64")
-        return out
+    pair_counts = _grouper(["source_a", "source_b"],
+                           {"shared_shingles": ([], "count_all")})
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("sh", "ascending"), (block_col, "ascending")])
+        t = t.take(_group_starts(t, ["sh", block_col])[:-1])
+        # every (row, later row of the same shingle run) pair: sources
+        # in a run are distinct and sorted, so source_a < source_b
+        starts = _group_starts(t, ["sh"])
+        later = np.repeat(starts[1:], np.diff(starts)) - np.arange(len(t)) - 1
+        ia = np.repeat(np.arange(len(t)), later)
+        ib = (ia + 1 + np.arange(len(ia))
+              - np.repeat(np.cumsum(later) - later, later))
+        return pair_counts(pa.table({"source_a": t[block_col].take(ia),
+                                     "source_b": t[block_col].take(ib)}))
 
     distinct = ds.select_columns([block_col, text_col]).map_batches(
         local_distinct, batch_format="pyarrow", zero_copy_batch=True)
     partials = bucket_exchange(distinct, "sh", per_bucket,
-                               num_buckets=num_buckets,
-                               batch_format="pandas")
+                               num_buckets=num_buckets)
     return combine(partials, ["source_a", "source_b"],
                    {"shared_shingles": ("shared_shingles", "sum")})

@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 from pyarrow import fs as pafs
 
 from .dedup import content_hash_batch
-from .exchange import _bucket_of, exchange_groups
+from .exchange import _bucket_of, _group_starts, exchange_groups
 from ..state import fs as vfs
 from ..state.bucketed import read_manifest, write_bucketed
 
@@ -79,8 +79,6 @@ def probe_novel(new_ds, index_path: str, *, text_col: str = "text",
     only the new shard; each bucket task reads its seen-hash file
     once. Returns a streaming Dataset of surviving full rows (helper
     columns dropped)."""
-    import pandas as pd
-
     f_sys, index_p = vfs.resolve_fs(index_path, filesystem)
     man = read_manifest(index_p, f_sys)
     if man["key_col"] != "content_hash":
@@ -94,21 +92,16 @@ def probe_novel(new_ds, index_path: str, *, text_col: str = "text",
             "ibucket", pa.array(_bucket_of(h["content_hash"],
                                            num_buckets)))
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        k = int(g["ibucket"].iloc[0])
-        seen = _seen_hashes(f_sys, index_p, k)
-        hv = pa.array(g["content_hash"].to_numpy(), type=pa.int64())
-        novel = ~pc.is_in(hv, value_set=seen).to_numpy(
-            zero_copy_only=False)
-        g = g[novel]
-        g = g.sort_values(["content_hash", id_col], kind="mergesort") \
-             .drop_duplicates("content_hash", keep="first")
-        return g.drop(columns=["content_hash", "ibucket"])
+    def per_bucket(g: pa.Table) -> pa.Table:
+        seen = _seen_hashes(f_sys, index_p, g["ibucket"][0].as_py())
+        g = g.filter(pc.invert(pc.is_in(g["content_hash"], value_set=seen)))
+        g = g.sort_by([("content_hash", "ascending"), (id_col, "ascending")])
+        return (g.take(_group_starts(g, ["content_hash"])[:-1])
+                .drop_columns(["content_hash", "ibucket"]))
 
     tagged = new_ds.map_batches(tag, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    return exchange_groups(tagged, "ibucket", per_bucket,
-                           batch_format="pandas")
+    return exchange_groups(tagged, "ibucket", per_bucket)
 
 
 def append_to_index(novel_ds, index_path: str, *,

@@ -4,12 +4,15 @@ join, as-of join and grouped top-k (window rank).
 All follow the same scale shape as sessionization (stages.window):
 one ``stages.exchange.bucket_exchange`` co-locates each key's rows,
 one partition per live CPU or per input block, then a vectorized
-kernel (Acero hash join, pandas merge_asof, sort + groupby-head) runs
-once per partition — never once per key or per bucket, and never an
-all-pairs or driver-side pass. Partitioning assumption: one key's rows fit one
-partition (true for per-user event streams; a pathologically hot key
-needs pre-splitting, by time range for the as-of join and by salt for
-top-k).
+Arrow kernel (Acero hash join, a sort + per-key row numbers) runs once
+per partition — never once per key or per bucket, and never an
+all-pairs or driver-side pass. The as-of match is the one kernel that
+converts to pandas inside (``pd.merge_asof``: Arrow's ``join_asof``
+needs a tolerance and picks other rows at ts ties across batches) and
+returns an Arrow table with the input's types. Partitioning
+assumption: one key's rows fit one partition (true for per-user event
+streams; a pathologically hot key needs pre-splitting, by time range
+for the as-of join and by salt for top-k).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import pyarrow.compute as pc
 from pyarrow import fs as pafs
 
 from .aggregate import combine_pandas
-from .exchange import _bucket_of, _key_hash, bucket_exchange, exchange_groups
+from .exchange import (_bucket_of, _group_starts, _key_hash, bucket_exchange,
+                       exchange_groups)
 
 
 def _rm_spill(f: pafs.FileSystem, path: str) -> None:
@@ -103,17 +107,30 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
                                    batch_format="pyarrow",
                                    zero_copy_batch=True)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lcols = [key_col, ts_col] + left_cols
-        rcols = [key_col, ts_col] + [c + right_suffix for c in right_cols]
+    lcols = [key_col, ts_col] + left_cols
+    rcols = [key_col, ts_col] + [c + right_suffix for c in right_cols]
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         left = g.loc[g["side"] == 0, lcols].sort_values(ts_col,
                                                         kind="mergesort")
         right = g.loc[g["side"] == 1, rcols].sort_values(ts_col,
                                                          kind="mergesort")
-        return pd.merge_asof(left, right, on=ts_col, by=key_col,
-                             direction="backward")
+        return _merge_asof(left, right, t.schema, key_col, ts_col)
     return bucket_exchange([left_p, right_p], key_col, per_bucket,
-                           num_buckets=num_buckets, batch_format="pandas")
+                           num_buckets=num_buckets)
+
+
+def _merge_asof(left: pd.DataFrame, right: pd.DataFrame, schema: pa.Schema,
+                key_col: str, ts_col: str) -> pa.Table:
+    """Backward ``pd.merge_asof`` of two ts-sorted frames by key, as an
+    Arrow table whose columns keep their types in ``schema`` (an
+    unmatched row's right columns are null, not NaN floats)."""
+    out = pd.merge_asof(left, right, on=ts_col, by=key_col,
+                        direction="backward")
+    return pa.Table.from_pandas(
+        out, schema=pa.schema([schema.field(c) for c in out.columns]),
+        preserve_index=False)
 
 
 def _ts_i8(values: np.ndarray) -> np.ndarray:
@@ -225,15 +242,14 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
                                side="right").astype(np.int64)
 
     # -- pass A: per-(key, range) latest right row → carry-in table --
-    def right_partial(b: pa.Table) -> pd.DataFrame:
-        cols = [key_col, ts_col] + right_cols
-        df = b.select(cols).to_pandas()
-        if len(df) == 0:
-            df["_r"] = pd.Series([], dtype=np.int64)
-            return df
-        df["_r"] = range_of(df[ts_col].to_numpy())
-        idx = df.groupby([key_col, "_r"])[ts_col].idxmax()
-        return df.loc[idx]
+    def right_partial(b: pa.Table) -> pa.Table:
+        # the first row of the latest ts per (key, range)
+        t = b.select([key_col, ts_col] + right_cols)
+        t = t.append_column("_r", pa.array(
+            range_of(t[ts_col].to_numpy()), pa.int64()))
+        t = t.sort_by([(key_col, "ascending"), ("_r", "ascending"),
+                       (ts_col, "descending")])
+        return t.take(_group_starts(t, [key_col, "_r"])[:-1])
 
     partials = (hot_right(columns=list(dict.fromkeys(
                     [key_col, ts_col] + right_cols)))
@@ -301,7 +317,8 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
     lout = [key_col, ts_col] + left_cols
     rout = [key_col, ts_col] + out_right
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         bid = int(g["abucket"].iloc[0])
         left = g.loc[g["side"] == 0, lout].sort_values(ts_col,
                                                        kind="mergesort")
@@ -315,11 +332,9 @@ def _asof_join_split(left_ds, right_ds, *, hot: list, key_col: str,
                 sub.columns = rout
                 right = pd.concat([right, sub], ignore_index=True)
         right = right.sort_values(ts_col, kind="mergesort")
-        return pd.merge_asof(left, right, on=ts_col, by=key_col,
-                             direction="backward")
+        return _merge_asof(left, right, t.schema, key_col, ts_col)
 
-    hot_out = exchange_groups([left_p, right_p], "abucket", per_bucket,
-                              batch_format="pandas")
+    hot_out = exchange_groups([left_p, right_p], "abucket", per_bucket)
     # repeated asof joins must not accumulate spill copies (ADVICE r4):
     # the spill lives exactly as long as the driver's ``per_bucket``.
     # The logical plan of the result, and of every Dataset derived from
@@ -667,23 +682,23 @@ def grouped_topk(ds, *, key_col: str, order_cols: list[str],
     exchange merges the partials into the exact global top-k. Top-k is
     a semilattice merge, so the result is identical to the unsplit
     path; no single partition ever holds a hot key's full row set."""
-    sort_cols = [key_col] + order_cols
-    sort_asc = [True] + list(ascending)
+    sort_keys = [(key_col, "ascending")] + [
+        (c, "ascending" if asc else "descending")
+        for c, asc in zip(order_cols, ascending)]
 
-    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, ascending=sort_asc, kind="mergesort")
-        rk = g.groupby(key_col, sort=False).cumcount() + 1
-        return g.loc[rk <= k], rk[rk <= k]
+    def local_topk(t: pa.Table):
+        t = t.sort_by(sort_keys)
+        starts = _group_starts(t, [key_col])
+        rk = np.arange(1, len(t) + 1) - np.repeat(starts[:-1], np.diff(starts))
+        return t.filter(rk <= k), rk[rk <= k]
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        top, rk = local_topk(g)
-        out = top[[key_col] + keep_cols].copy()
-        out["rk"] = rk.astype(np.int64)
-        return out
+    def per_bucket(t: pa.Table) -> pa.Table:
+        top, rk = local_topk(t)
+        return top.select([key_col] + keep_cols).append_column(
+            "rk", pa.array(rk))
 
     def exchange(part, keys, kernel):
-        return bucket_exchange(part, keys, kernel, num_buckets=num_buckets,
-                               batch_format="pandas")
+        return bucket_exchange(part, keys, kernel, num_buckets=num_buckets)
 
     hot = find_hot_keys(ds, key_col, frac=hot_frac) if hot_frac else set()
     if not hot:
@@ -710,5 +725,5 @@ def grouped_topk(ds, *, key_col: str, order_cols: list[str],
                     key_col, per_bucket)
     hot_partials = exchange(
         ds.map_batches(salted, batch_format="pyarrow", zero_copy_batch=True),
-        [key_col, "_salt"], lambda g: local_topk(g)[0][payload])
+        [key_col, "_salt"], lambda t: local_topk(t)[0].select(payload))
     return cold.union(exchange(hot_partials, key_col, per_bucket))

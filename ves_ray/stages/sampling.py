@@ -21,8 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
-from .aggregate import combine_pandas
-from .exchange import bucket_exchange, exchange_groups
+from .aggregate import combine_pandas, empty_like, gather
+from .exchange import _group_starts, bucket_exchange, exchange_groups
 
 
 def stratified_sample(ds, rate_units: dict[str, int], *,
@@ -97,10 +97,10 @@ def bottom_k_sample(ds, *, k: int, id_col: str, seed: int = 0) -> pa.Table:
             h = h[idx]
         return b.append_column("h", pa.array(h, type=pa.uint64()))
 
-    cand = ds.map_batches(local, batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
-    top = cand.nsmallest(k, "h").sort_values("h", ignore_index=True)
-    return pa.Table.from_pandas(top, preserve_index=False)
+    cand = gather(ds.map_batches(local, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                  lambda: local(empty_like(ds)))
+    return cand.take(pc.sort_indices(cand["h"])[:k])
 
 
 def weighted_sample_k(ds, *, k: int, id_col: str, weight_col: str,
@@ -135,12 +135,12 @@ def weighted_sample_k(ds, *, k: int, id_col: str, weight_col: str,
         return b.take(pa.array(sel)).append_column(
             "_wkey", pa.array(key[sel]))
 
-    cand = ds.map_batches(local, batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
-    order = np.lexsort((cand[id_col].to_numpy(), -cand["_wkey"].to_numpy()))
-    top = cand.iloc[order[:k]].drop(columns=["_wkey"]) \
-        .sort_values(id_col, ignore_index=True)
-    return pa.Table.from_pandas(top, preserve_index=False)
+    cand = gather(ds.map_batches(local, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                  lambda: local(empty_like(ds)))
+    top = cand.take(pc.sort_indices(
+        cand, [("_wkey", "descending"), (id_col, "ascending")])[:k])
+    return top.drop_columns(["_wkey"]).sort_by(id_col)
 
 
 def weighted_sample(ds, *, id_col: str, units_col: str,
@@ -223,15 +223,14 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
        dropped BEFORE the exchange (broadcast offset table), so the
        single all-to-all carries only ~budget-scale candidates.
     4. One ``bucket_exchange`` on (stratum, range); one vectorized
-       pandas scan per partition (sort + grouped cumsum + offset)
-       emits rows with global running total ≤ budget.
+       scan per partition (sort + grouped cumsum + offset) emits rows
+       with global running total ≤ budget.
 
     Rows keep ``id, strata, weight`` plus ``cum_col`` (the global
     running total in selection order). A single row heavier than the
     remaining budget is dropped, as is everything after it in its
     sub-range — exactly ``WHERE cum <= budget`` under
     ``SUM() OVER (PARTITION BY stratum ORDER BY skey, id)``."""
-    import pandas as pd
     import ray
 
     n_ranges = 1 << range_bits
@@ -258,30 +257,29 @@ def token_budget_select(ds, *, budget: int, strata_col: str,
                       - sums["w"]).astype(np.int64)
     offsets = sums.loc[sums["offset"] < budget,
                        [strata_col, "rbucket", "offset"]]
-    off_ref = ray.put(offsets)
+    off_ref = ray.put(pa.Table.from_pandas(offsets, preserve_index=False))
 
-    def prune(b: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        return b.merge(off, on=[strata_col, "rbucket"], how="inner")
+    def prune(b: pa.Table) -> pa.Table:
+        return b.join(ray.get(off_ref), [strata_col, "rbucket"],
+                      join_type="inner")
 
-    cands = keyed.map_batches(prune, batch_format="pandas")
+    cands = keyed.map_batches(prune, batch_format="pyarrow",
+                              zero_copy_batch=True)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([strata_col, "rbucket", "skey", id_col],
-                          kind="mergesort")
-        intra = g.groupby([strata_col, "rbucket"],
-                          sort=False)[weight_col].cumsum()
-        g[cum_col] = (g["offset"] + intra).astype(np.int64)
-        out = g.loc[g[cum_col] <= budget,
-                    [id_col, strata_col, weight_col, cum_col]]
-        return out if len(out) else pd.DataFrame({
-            id_col: pd.Series([], dtype=g[id_col].dtype),
-            strata_col: pd.Series([], dtype=object),
-            weight_col: pd.Series([], dtype=g[weight_col].dtype),
-            cum_col: pd.Series([], dtype="int64")})
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending")
+                       for c in (strata_col, "rbucket", "skey", id_col)])
+        starts = _group_starts(t, [strata_col, "rbucket"])
+        cs = np.cumsum(t[weight_col].to_numpy())
+        # running weight within each (stratum, range) run
+        before = np.repeat(np.append(0, cs)[starts[:-1]], np.diff(starts))
+        cum = (t["offset"].to_numpy() + cs - before).astype(np.int64)
+        keep = cum <= budget
+        return (t.select([id_col, strata_col, weight_col]).filter(keep)
+                .append_column(cum_col, pa.array(cum[keep])))
 
     return bucket_exchange(cands, [strata_col, "rbucket"], per_bucket,
-                           num_buckets=num_buckets, batch_format="pandas")
+                           num_buckets=num_buckets)
 
 
 def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
@@ -313,7 +311,6 @@ def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
     SQL oracle shape: ``ROW_NUMBER() OVER (ORDER BY splitmix64(id))
     - 1`` (see hashing.sql_splitmix64 for the bit-exact mirror).
     """
-    import pandas as pd
     import ray
 
     def prep(b: pa.Table) -> pa.Table:
@@ -334,16 +331,15 @@ def global_shuffle_rank(ds, *, id_col: str, seed: int = 0,
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     off_ref = ray.put(offsets)
 
-    def per_range(g: pd.DataFrame) -> pd.DataFrame:
+    def per_range(g: pa.Table) -> pa.Table:
         off = ray.get(off_ref)
-        rb = int(g["rbucket"].iloc[0])
+        rb = g["rbucket"][0].as_py()
         order = np.argsort(g["skey"].to_numpy(), kind="stable")
         pos = np.empty(len(g), dtype=np.int64)
         pos[order] = off[rb] + np.arange(len(g), dtype=np.int64)
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             pos_col: pos})
+        return pa.table({id_col: g[id_col], pos_col: pos})
 
-    return exchange_groups(keyed, "rbucket", per_range, batch_format="pandas")
+    return exchange_groups(keyed, "rbucket", per_range)
 
 
 def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
@@ -369,7 +365,6 @@ def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
     SQL oracle shape: ``ROW_NUMBER() OVER (ORDER BY band,
     splitmix64(id ^ seed)) - 1`` (hashing.sql_splitmix64 mirrors the
     hash bit-for-bit)."""
-    import pandas as pd
     import ray
 
     n_sub = np.int64(1 << range_bits)
@@ -401,15 +396,13 @@ def curriculum_rank(ds, *, band_col: str, id_col: str, seed: int = 0,
         offs = np.empty(0, dtype=np.int64)
     off_ref = ray.put((rbs, offs))
 
-    def per_range(g: pd.DataFrame) -> pd.DataFrame:
+    def per_range(g: pa.Table) -> pa.Table:
         rbs_, offs_ = ray.get(off_ref)
-        rb = int(g["rbucket"].iloc[0])
-        base = offs_[np.searchsorted(rbs_, rb)]
+        base = offs_[np.searchsorted(rbs_, g["rbucket"][0].as_py())]
         order = np.argsort(g["skey"].to_numpy(), kind="stable")
         pos = np.empty(len(g), dtype=np.int64)
         pos[order] = base + np.arange(len(g), dtype=np.int64)
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             band_col: g[band_col].to_numpy(),
-                             pos_col: pos})
+        return pa.table({id_col: g[id_col], band_col: g[band_col],
+                         pos_col: pos})
 
-    return exchange_groups(keyed, "rbucket", per_range, batch_format="pandas")
+    return exchange_groups(keyed, "rbucket", per_range)

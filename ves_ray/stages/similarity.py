@@ -52,19 +52,11 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 10,
     qn = _normalize(np.asarray(queries, dtype=np.float64))
     q_ref = ray.put(qn)
 
-    def local_topk(batch: pa.Table) -> pd.DataFrame:
-        # empty blocks can reach here when an upstream filter drains a
-        # whole block (bucketed ANN paths) — guard before the matmul
-        if len(batch) == 0:
-            return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                                 id_col: pd.Series([], dtype="int64"),
-                                 "cos_sim": pd.Series([], dtype="float64")})
+    def local_topk(batch: pa.Table) -> pa.Table:
+        # Ray Data never calls a batch function on an empty block (an
+        # upstream filter may drain one): it passes the block through
         q = ray.get(q_ref)
         m = _normalize(_batch_matrix(batch[vec_col]))
-        col = batch[id_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        ids = col.to_numpy(zero_copy_only=False)
         sims = q @ m.T                                    # (Q, B)
         kk = min(k, sims.shape[1])
         # local top-k per query, fully vectorized: argpartition picks
@@ -73,8 +65,8 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 10,
         part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
         qi = np.repeat(np.arange(sims.shape[0], dtype=np.int64), kk)
         j = part.ravel()
-        return pd.DataFrame({"query_id": qi, id_col: ids[j],
-                             "cos_sim": sims[qi, j]})
+        return pa.table({"query_id": qi, id_col: batch[id_col].take(j),
+                         "cos_sim": sims[qi, j]})
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               zero_copy_batch=True).to_pandas()
@@ -300,8 +292,8 @@ def embedding_neardup_pairs(ds, *, threshold: float = 0.99,
     on block_col co-locates each block, the per-group matmul finds pairs ≥
     threshold. Block key choice (label / LSH bucket) bounds group size;
     no corpus-wide all-pairs."""
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        m = _normalize(np.stack(g[vec_col].to_numpy()).astype(np.float64))
+    def pairs(g: pa.Table) -> pa.Table:
+        m = _normalize(_batch_matrix(g[vec_col]))
         ids = g[id_col].to_numpy()
         sims = m @ m.T
         ii, jj = np.triu_indices(len(ids), k=1)
@@ -310,10 +302,10 @@ def embedding_neardup_pairs(ds, *, threshold: float = 0.99,
         if round_to is not None:
             s = np.round(s, round_to)
         a, b = ids[ii[keep]], ids[jj[keep]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"vec_a": lo, "vec_b": hi, "cos_sim": s})
+        return pa.table({"vec_a": np.minimum(a, b), "vec_b": np.maximum(a, b),
+                         "cos_sim": s})
 
-    return exchange_groups(ds, block_col, pairs, batch_format="pandas")
+    return exchange_groups(ds, block_col, pairs)
 
 
 def grouped_centroids(ds, *, label_col: str = "label",

@@ -26,8 +26,8 @@ probe shape every other dedup stage here uses):
    (exact gram strings, so a 64-bit collision can never merge two
    distinct grams: the per-gram regroup below works on the string).
 3. per-gram resolution — one ``bucket_exchange`` on the gram, each
-   partition resolved with one vectorized pandas scan (never one
-   group per gram: almost every gram is a 2-occurrence group and
+   partition resolved with one vectorized Arrow sort and run scan
+   (never one group per gram: almost every gram is a 2-occurrence group and
    per-group overhead would dominate). Removals then meet the corpus
    in one ``bucket_exchange`` on ``doc_id`` (tagged union) and each
    partition rebuilds its documents with a vectorized
@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
 from .aggregate import combine
-from .exchange import bucket_exchange
+from .exchange import _group_starts, bucket_exchange
 
 DEFAULT_SEED = 0x5EED5
 
@@ -149,8 +149,9 @@ def dup_spans(ds, *, k: int = 8, text_col: str = "text",
               num_buckets: int = 64):
     """Report form: one row per duplicated k-gram —
     ``(gram, n_docs, occurrences, first_doc, first_pos)``. Grams are
-    resolved per hash bucket with vectorized pandas group kernels
-    (C-speed nunique/size/first), never one Ray group per gram."""
+    resolved per hash bucket with one sort and run-start arithmetic
+    (distinct docs, size, first row per gram), never one Ray group per
+    gram."""
     dup = dup_span_hash_set(ds, k=k, text_col=text_col, seed=seed)
     empty = pd.DataFrame({
         "gram": pd.Series([], dtype=object),
@@ -163,19 +164,24 @@ def dup_spans(ds, *, k: int = 8, text_col: str = "text",
     occ = span_occurrences(ds, dup, k=k, text_col=text_col,
                            id_col=id_col, seed=seed)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
-        grp = g.groupby("gram", sort=False)
-        out = grp.agg(n_docs=(id_col, "nunique"),
-                      occurrences=(id_col, "size"),
-                      first_doc=(id_col, "first"),
-                      first_pos=("pos", "first")).reset_index()
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("gram", "ascending"), (id_col, "ascending"),
+                       ("pos", "ascending")])
+        starts = _group_starts(t, ["gram"])
+        docs = np.searchsorted(_group_starts(t, ["gram", id_col]), starts)
+        size = np.diff(starts)
         # 64-bit collisions can pull a count-1 gram into a bucket;
         # the exact-string filter drops it here.
-        return out[out["occurrences"] >= 2]
+        keep = size >= 2
+        first = starts[:-1][keep]
+        return pa.table({"gram": t["gram"].take(first),
+                         "n_docs": np.diff(docs)[keep],
+                         "occurrences": size[keep],
+                         "first_doc": t[id_col].take(first),
+                         "first_pos": t["pos"].take(first)})
 
-    res = bucket_exchange(occ, "gram", per_bucket, num_buckets=num_buckets,
-                          batch_format="pandas").to_pandas()
+    res = bucket_exchange(occ, "gram", per_bucket,
+                          num_buckets=num_buckets).to_pandas()
     if len(res) == 0:
         return empty
     return res.sort_values("gram", ignore_index=True)
@@ -211,18 +217,16 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
     occ = span_occurrences(ds, dup, k=k, text_col=text_col,
                            id_col=id_col, seed=seed)
 
-    def removals_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
-        grp = g.groupby("gram", sort=False)
-        keep = (grp["gram"].transform("size") >= 2) & (grp.cumcount() > 0)
-        out = g.loc[keep, [id_col, "pos"]]
-        return out if len(out) else pd.DataFrame({
-            id_col: pd.Series([], dtype=g[id_col].dtype),
-            "pos": pd.Series([], dtype="int64")})
+    def removals_bucket(t: pa.Table) -> pa.Table:
+        # every occurrence but the first (min (doc, pos)) of its gram
+        t = t.sort_by([("gram", "ascending"), (id_col, "ascending"),
+                       ("pos", "ascending")])
+        later = np.ones(len(t), dtype=bool)
+        later[_group_starts(t, ["gram"])[:-1]] = False
+        return t.select([id_col, "pos"]).filter(later)
 
     removals = bucket_exchange(occ, "gram", removals_bucket,
-                               num_buckets=num_buckets,
-                               batch_format="pandas")
+                               num_buckets=num_buckets)
 
     # tagged union → one exchange on hash(doc_id) → per-bucket rebuild
     def tag_docs(b: pa.Table) -> pa.Table:
@@ -232,11 +236,6 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
             "pos": pa.nulls(len(b), type=pa.int64())})
 
     def tag_removals(b: pa.Table) -> pa.Table:
-        if len(b) == 0 or "pos" not in b.column_names:
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                text_col: pa.array([], type=pa.string()),
-                "pos": pa.array([], type=pa.int64())})
         return pa.table({
             id_col: b[id_col],
             text_col: pa.nulls(len(b), type=pa.string()),
@@ -244,7 +243,8 @@ def remove_duplicate_spans(ds, *, k: int = 8, text_col: str = "text",
 
     tagged = [docs.map_batches(tag_docs, batch_format="pyarrow",
                                zero_copy_batch=True),
-              removals.map_batches(tag_removals, batch_format="pyarrow")]
+              removals.map_batches(tag_removals, batch_format="pyarrow",
+                                   zero_copy_batch=True)]
 
     def rebuild(g: pa.Table) -> pa.Table:
         is_doc = pc.is_valid(g[text_col])

@@ -16,7 +16,7 @@ import pyarrow.compute as pc
 
 from ..hashing import (U64, hash_strings, reduce_by_row, round_half_away,
                        splitmix64)
-from .aggregate import combine, combine_pandas
+from .aggregate import combine, combine_pandas, gather
 
 _WS = r"\s+"
 # BPE-ish pretokenizer: word pieces or single non-space symbols
@@ -258,16 +258,16 @@ def unigram_logprob(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    vocab = word_counts(ds, text_col).to_pandas()
-    total = float(vocab["n"].sum())
-    counts = vocab["n"].to_numpy().astype(np.float64)
+    vocab = gather(word_counts(ds, text_col), lambda: pa.table(
+        {"word": pa.array([], pa.string()), "n": pa.array([], pa.int64())}))
+    counts = vocab["n"].to_numpy()
+    total = max(float(counts.sum()), 1.0)     # no words: no rows to score
     logp = np.floor(np.log(counts / total) * scale).astype(np.int64)
     oov = np.int64(np.floor(np.log(min_count / total) * scale)) - 1
     if min_count > 1:
-        keep = vocab["n"].to_numpy() >= min_count
-        vocab, logp = vocab[keep], logp[keep]
-    vref = ray.put((pa.array(vocab["word"], type=pa.string()),
-                    logp, int(oov)))
+        keep = counts >= min_count
+        vocab, logp = vocab.filter(keep), logp[keep]
+    vref = ray.put((vocab["word"].combine_chunks(), logp, int(oov)))
 
     def score(b: pa.Table) -> pa.Table:
         vwords, vlogp, voov = ray.get(vref)

@@ -9,51 +9,67 @@ Sessionization is a per-key ordered scan. Every operator here is one
 ``stages.exchange.bucket_exchange``: keys (users) hash into
 ``num_buckets`` buckets, the buckets range-partition over the live
 CPUs (or the input's blocks, if more), and the scan runs once per
-partition as a single vectorized multi-user pass (key-change flags
-fused with gap flags), never a per-user Python loop.
+partition as a single vectorized multi-user pass over its Arrow table
+(a stable sort, key-run starts from ``exchange._group_starts`` fused
+with gap flags, ``reduceat`` per key), never a per-user Python loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .aggregate import combine, combine_pandas
-from .exchange import bucket_exchange
+from .aggregate import _grouper, combine, combine_pandas
+from .exchange import _group_starts, bucket_exchange
+
+
+def _micros(col) -> np.ndarray:
+    """Integer microseconds of a timestamp column: sub-second fractions
+    must count toward gaps/durations exactly as in a SQL oracle."""
+    return (col.cast(pa.timestamp("us", col.type.tz), safe=False)
+            .cast(pa.int64()).to_numpy())
+
+
+def _key_runs(t: pa.Table, key_col: str, *order: str):
+    """``t`` sorted by ``key_col`` then ``order`` (stable, so ties keep
+    their input order), the start row of each key run
+    (:func:`exchange._group_starts`), and that start broadcast to every
+    row."""
+    t = t.sort_by([(c, "ascending") for c in (key_col, *order)])
+    starts = _group_starts(t, [key_col])
+    return t, starts, np.repeat(starts[:-1], np.diff(starts))
+
+
+def _session_starts(t: pa.Table, key_col: str, ts_col: str, order_col: str,
+                    gap_s: int):
+    """Sort a bucket of users by (key, ts, order) and fuse user-change
+    and gap flags into session starts: the sorted table, the session
+    start flag of each row and each row's key-run start."""
+    t, _, run_start = _key_runs(t, key_col, ts_col, order_col)
+    ts_us = _micros(t[ts_col])
+    new_user = run_start == np.arange(len(t))
+    gaps = np.diff(ts_us, prepend=ts_us[:1])
+    return t, new_user | (gaps > gap_s * 1_000_000), run_start
 
 
 def _sessionize_bucket(key_col: str, ts_col: str, order_col: str, gap_s: int):
-    """One vectorized pass over a whole bucket of users: sort by
-    (key, ts, order), fuse user-change and gap flags into session
-    starts, then derive per-session counts / durations / per-user
-    session numbers with cumulative ops only."""
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
-        keys = g[key_col].to_numpy()
-        # integer microseconds end-to-end: sub-second fractions must
-        # count toward gaps/durations exactly as in a SQL oracle
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        gap_us = gap_s * 1_000_000
-        new_user = np.concatenate(([True], keys[1:] != keys[:-1]))
-        gaps = np.diff(ts_us, prepend=ts_us[0])
-        new_s = new_user | (gaps > gap_us)
+    """One vectorized pass over a whole bucket of users: session starts
+    (:func:`_session_starts`), then per-session counts / durations /
+    per-user session numbers with cumulative ops only."""
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, new_s, run_start = _session_starts(t, key_col, ts_col, order_col,
+                                              gap_s)
+        ts_us = _micros(t[ts_col])
         bounds = np.flatnonzero(new_s)
-        counts = np.diff(np.append(bounds, len(new_s)))
-        starts_ts = ts_us[bounds]
-        last = np.concatenate((new_s[1:], [True]))
-        ends_ts = ts_us[last]
-        sess_user = keys[bounds]
+        ends = np.append(bounds[1:], len(t))
         # per-user session numbering: 1..N within each user's run
-        s_idx = np.arange(len(bounds), dtype=np.int64)
-        user_first = np.maximum.accumulate(
-            np.where(np.concatenate(([True], sess_user[1:] != sess_user[:-1])),
-                     s_idx, 0))
-        return pd.DataFrame({
-            key_col: sess_user,
-            "session_id": s_idx - user_first + 1,
-            "events": counts.astype(np.int64),
-            "duration_s": ((ends_ts - starts_ts) // 1_000_000).astype(np.int64),
+        cum = np.cumsum(new_s)
+        return pa.table({
+            key_col: t[key_col].take(bounds),
+            "session_id": (cum - cum[run_start] + 1)[bounds],
+            "events": ends - bounds,
+            "duration_s": (ts_us[ends - 1] - ts_us[bounds]) // 1_000_000,
         })
     return per_bucket
 
@@ -72,7 +88,7 @@ def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     return bucket_exchange(ds, key_col,
                            _sessionize_bucket(key_col, ts_col, order_col,
                                               gap_s),
-                           num_buckets=num_buckets, batch_format="pandas")
+                           num_buckets=num_buckets)
 
 
 def assign_sessions(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -88,28 +104,14 @@ def assign_sessions(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     one vectorized multi-key pass handles a whole bucket; each key's
     rows land in exactly one bucket, so numbering is exact. Returns
     (order_col, key_col, session_id)."""
-    import pandas as pd
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
-        keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                 .astype(np.int64)
-        gap_us = gap_s * 1_000_000
-        new_user = np.concatenate(([True], keys[1:] != keys[:-1]))
-        gaps = np.diff(ts_us, prepend=ts_us[0])
-        new_s = new_user | (gaps > gap_us)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, new_s, run_start = _session_starts(t, key_col, ts_col, order_col,
+                                              gap_s)
         cum = np.cumsum(new_s)
-        idx = np.arange(len(g), dtype=np.int64)
-        ufirst = np.maximum.accumulate(np.where(new_user, idx, 0))
-        session_id = cum - cum[ufirst] + 1
-        return pd.DataFrame({
-            order_col: g[order_col].to_numpy(),
-            key_col: keys,
-            "session_id": session_id.astype(np.int64)})
+        return pa.table({order_col: t[order_col], key_col: t[key_col],
+                         "session_id": cum - cum[run_start] + 1})
 
-    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
-                           batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def rolling_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -125,25 +127,15 @@ def rolling_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     multi-key pass per bucket: global cumsum, per-row window start
     clamped to the key-run start, rolling sum = cs[i] - cs[lo-1].
     Exact integers end-to-end; no per-key Python loop."""
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
-        keys = g[key_col].to_numpy()
-        v = g[value_col].to_numpy().astype(np.int64)
-        n = len(v)
-        cs = np.cumsum(v)
-        idx = np.arange(n, dtype=np.int64)
-        # index of the first row of each key run, broadcast per row
-        new_key = np.concatenate(([True], keys[1:] != keys[:-1]))
-        run_start = np.maximum.accumulate(np.where(new_key, idx, 0))
-        lo = np.maximum(idx - (window - 1), run_start)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, _, run_start = _key_runs(t, key_col, ts_col, order_col)
+        cs = np.cumsum(t[value_col].to_numpy().astype(np.int64))
+        lo = np.maximum(np.arange(len(t)) - (window - 1), run_start)
         roll = cs - np.where(lo > 0, cs[np.maximum(lo - 1, 0)], 0)
-        return pd.DataFrame({
-            key_col: keys,
-            order_col: g[order_col].to_numpy(),
-            "rolling_cents": roll.astype(np.int64)})
+        return pa.table({key_col: t[key_col], order_col: t[order_col],
+                         "rolling_cents": roll})
 
-    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
-                           batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def funnel_stages(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -157,32 +149,31 @@ def funnel_stages(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     0..len(stages).
 
     One bucket exchange; per bucket the scan is len(stages) masked
-    groupby-min passes over the whole bucket (C-speed), never a
-    per-key loop."""
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        types = g[type_col].to_numpy()
-        uniq = np.unique(keys)
-        # reached[u] = deepest stage; gate[u] = ts of current stage
-        gate = pd.Series(np.int64(-2**62), index=uniq)
-        reached = pd.Series(0, index=uniq, dtype=np.int64)
-        for depth, stage in enumerate(stages, start=1):
-            m = types == stage
-            sub = pd.DataFrame({"k": keys[m], "t": ts_us[m]})
-            # min event ts of this stage at/after the key's gate ts
-            sub = sub[sub["t"].to_numpy() >=
-                      gate.reindex(sub["k"]).to_numpy()]
-            nxt = sub.groupby("k")["t"].min()
-            hit = nxt.index
-            reached.loc[hit] = depth
-            gate.loc[:] = np.int64(2**62)  # keys that miss stall out
-            gate.loc[hit] = nxt.to_numpy()
-        return pd.DataFrame({key_col: uniq,
-                             "funnel_stage": reached.to_numpy()})
+    per-key min passes (``minimum.reduceat`` over the key runs) over the
+    whole bucket, never a per-key loop."""
+    never = np.int64(2**62)
 
-    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
-                           batch_format="pandas")
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, starts, _ = _key_runs(t, key_col)
+        ts_us = _micros(t[ts_col])
+        first = starts[:-1]
+        key_of = np.repeat(np.arange(len(first)), np.diff(starts))
+        # reached[u] = deepest stage; gate[u] = ts of current stage
+        gate = np.full(len(first), -never)
+        reached = np.zeros(len(first), dtype=np.int64)
+        for depth, stage in enumerate(stages, start=1):
+            # events of this stage at/after the key's gate ts
+            m = pc.fill_null(pc.equal(t[type_col], stage), False) \
+                .to_numpy() & (ts_us >= gate[key_of])
+            hit = np.logical_or.reduceat(m, first)
+            reached[hit] = depth
+            # the min such ts opens the next stage; keys that miss stall
+            gate = np.where(hit, np.minimum.reduceat(
+                np.where(m, ts_us, never), first), never)
+        return pa.table({key_col: t[key_col].take(first),
+                         "funnel_stage": reached})
+
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def event_gaps(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -192,27 +183,21 @@ def event_gaps(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     emit nothing (no gaps). Same bucket shape as sessionize: one
     shuffle, one vectorized multi-key pass per bucket, integer
     microseconds so a SQL lag-window oracle matches exactly."""
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
-        keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        same_user = np.concatenate(([False], keys[1:] == keys[:-1]))
-        gaps = np.diff(ts_us, prepend=ts_us[0])
-        sub = pd.DataFrame({key_col: keys[same_user],
-                            "gap_us": gaps[same_user]})
-        if len(sub) == 0:
-            return pd.DataFrame({key_col: keys[:0],
-                                 "n_gaps": pd.Series([], dtype="int64"),
-                                 "max_gap_us": pd.Series([], dtype="int64"),
-                                 "sum_gap_us": pd.Series([], dtype="int64")})
-        out = (sub.groupby(key_col, as_index=False, sort=False)["gap_us"]
-               .agg(n_gaps="count", max_gap_us="max", sum_gap_us="sum"))
-        out[["n_gaps", "max_gap_us", "sum_gap_us"]] = out[
-            ["n_gaps", "max_gap_us", "sum_gap_us"]].astype(np.int64)
-        return out
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, starts, run_start = _key_runs(t, key_col, ts_col, order_col)
+        ts_us = _micros(t[ts_col])
+        # a key's first row has no gap; sorted by ts, every gap is >= 0
+        gaps = np.where(run_start == np.arange(len(t)), 0,
+                        np.diff(ts_us, prepend=ts_us[:1]))
+        first, size = starts[:-1], np.diff(starts)
+        keep = size > 1
+        return pa.table({
+            key_col: t[key_col].take(first[keep]),
+            "n_gaps": size[keep] - 1,
+            "max_gap_us": np.maximum.reduceat(gaps, first)[keep],
+            "sum_gap_us": np.add.reduceat(gaps, first)[keep]})
 
-    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
-                           batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def arrival_lateness(ds, *, key_col: str = "event_type",
@@ -228,32 +213,31 @@ def arrival_lateness(ds, *, key_col: str = "event_type",
 
     Same shuffle shape as the other windowed ops here: keys pre-hashed
     into ``num_buckets`` buckets, ONE exchange, then per bucket a
-    single vectorized multi-key scan (grouped cummax + grouped shift,
-    both C-speed) and a bucket-local final aggregate — every key lives
-    in exactly one bucket, so bucket aggregates are globally exact."""
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, order_col], kind="mergesort",
-                          ignore_index=True)
-        tsu = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        g["_tsu"] = tsu
-        gb = g.groupby(key_col, sort=False)
-        wm = gb["_tsu"].cummax()
-        wm_prev = (wm.groupby(g[key_col], sort=False).shift(1)
-                   .fillna(-2**62).astype(np.int64))   # int64-exact sums
-        late = tsu < wm_prev.to_numpy()
-        g["_late"] = late.astype(np.int64)
-        g["_lateness"] = np.where(late, wm_prev.to_numpy() - tsu, 0)
-        agg = g.groupby(key_col, sort=False).agg(
-            n_events=("_tsu", "size"), n_late=("_late", "sum"),
-            max_late_us=("_lateness", "max"),
-            sum_late_us=("_lateness", "sum")).reset_index()
-        agg["max_late_us"] = agg["max_late_us"].astype(np.int64)
-        agg["sum_late_us"] = agg["sum_late_us"].astype(np.int64)
-        agg["n_events"] = agg["n_events"].astype(np.int64)
-        return agg
+    single vectorized multi-key scan (grouped running max + shift) and
+    a bucket-local final aggregate (``reduceat`` over the key runs) —
+    every key lives in exactly one bucket, so bucket aggregates are
+    globally exact."""
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, starts, run_start = _key_runs(t, key_col, order_col)
+        tsu = _micros(t[ts_col])
+        # grouped running max: the lexicographic running max of
+        # (key run, rank of ts) stays inside the key's run, since runs
+        # are in row order; ranks keep the packed pair within int64
+        uniq, rank = np.unique(tsu, return_inverse=True)
+        run = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        wm = uniq[np.maximum.accumulate(run * len(uniq) + rank) % len(uniq)]
+        first = run_start == np.arange(len(t))
+        wm_prev = np.where(first, -2**62, np.roll(wm, 1))
+        late = tsu < wm_prev
+        lateness = np.where(late, wm_prev - tsu, 0)
+        return pa.table({
+            key_col: t[key_col].take(starts[:-1]),
+            "n_events": np.diff(starts),
+            "n_late": np.add.reduceat(late.astype(np.int64), starts[:-1]),
+            "max_late_us": np.maximum.reduceat(lateness, starts[:-1]),
+            "sum_late_us": np.add.reduceat(lateness, starts[:-1])})
 
-    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets,
-                           batch_format="pandas")
+    return bucket_exchange(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -269,9 +253,6 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     scan per bucket emitting hour-scale partials, and a tiny final
     groupby. Returns a pandas DataFrame
     (ts_hour, n_active, n_retained) sorted by hour."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
     def pairs(b: pa.Table) -> pa.Table:
         h = pc.floor_temporal(b[ts_col], unit="hour")
         if isinstance(h, pa.ChunkedArray):
@@ -279,29 +260,29 @@ def hourly_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         t = pa.table({key_col: b[key_col], "ts_hour": h})
         return pa.TableGroupBy(t, [key_col, "ts_hour"]).aggregate([])
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    hour_sums = _grouper(["ts_hour"], {"active": ("active", "sum"),
+                                       "retained": ("retained", "sum")})
+
+    def per_bucket(t: pa.Table) -> pa.Table:
         # block-local distinct is not global: the same (key, hour) can
         # arrive from several blocks; all of a key's pairs co-locate
         # here, so this dedup makes the pair set exact
-        g = (g.sort_values([key_col, "ts_hour"], kind="mergesort")
-              .drop_duplicates([key_col, "ts_hour"]))
-        keys = g[key_col].to_numpy()
-        hrs = g["ts_hour"].to_numpy().astype("datetime64[us]") \
-               .astype(np.int64)
-        same = np.concatenate((keys[1:] == keys[:-1], [False]))
-        nxt = np.concatenate((hrs[1:] - hrs[:-1] == 3_600_000_000,
-                              [False]))
-        retained = same & nxt
-        df = pd.DataFrame({"ts_hour": g["ts_hour"].to_numpy(),
-                           "active": 1,
-                           "retained": retained.astype(np.int64)})
-        out = df.groupby("ts_hour", as_index=False).sum()
-        return out
+        t = t.sort_by([(key_col, "ascending"), ("ts_hour", "ascending")])
+        t = t.take(_group_starts(t, [key_col, "ts_hour"])[:-1])
+        hrs = _micros(t["ts_hour"])
+        # retained: the next row is the same key's next hour
+        last = np.zeros(len(t), dtype=bool)
+        last[_group_starts(t, [key_col])[1:] - 1] = True
+        nxt = np.append(hrs[1:] - hrs[:-1] == 3_600_000_000, False)
+        return hour_sums(pa.table({
+            "ts_hour": t["ts_hour"],
+            "active": np.ones(len(t), dtype=np.int64),
+            "retained": (~last & nxt).astype(np.int64)}))
 
     parts = bucket_exchange(
         ds.select_columns([key_col, ts_col]).map_batches(
             pairs, batch_format="pyarrow", zero_copy_batch=True),
-        key_col, per_bucket, num_buckets=num_buckets, batch_format="pandas")
+        key_col, per_bucket, num_buckets=num_buckets)
     final = combine_pandas(parts, ["ts_hour"],
                            {"n_active": ("active", "sum"),
                             "n_retained": ("retained", "sum")})
@@ -322,35 +303,28 @@ def session_type_pairs(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     Shape: one key-bucket exchange; inside each bucket the
     :func:`assign_sessions` scan runs with ``type_col`` carried along,
     (key, session, type) triples dedupe, and the pair expansion is a
-    per-(key, session) self-merge (pandas C hash join, bounded by
+    per-(key, session) self-join (Arrow hash join, bounded by
     (distinct types)² per session — type vocabularies are small) —
     the bucket then emits PARTIAL pair counts, so the final exchange
     is pairs²-scale. Returns a Dataset of
     (type_a, type_b, n_sessions) with type_a < type_b."""
-    import pandas as pd
+    pair_counts = _grouper([type_col, "type_b"],
+                           {"n_sessions": ([], "count_all")})
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
-        keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                 .astype(np.int64)
-        gap_us = gap_s * 1_000_000
-        new_user = np.concatenate(([True], keys[1:] != keys[:-1]))
-        gaps = np.diff(ts_us, prepend=ts_us[0])
-        new_s = new_user | (gaps > gap_us)
-        cum = np.cumsum(new_s)        # bucket-global session tag
-        est = pd.DataFrame({key_col: keys, "sess": cum,
-                            type_col: g[type_col].to_numpy()}) \
-                .drop_duplicates([key_col, "sess", type_col])
-        m = est.merge(est, on=[key_col, "sess"], suffixes=("_a", "_b"))
-        m = m[m[f"{type_col}_a"] < m[f"{type_col}_b"]]
-        out = (m.groupby([f"{type_col}_a", f"{type_col}_b"])
-                .size().reset_index(name="n_sessions"))
-        return out.rename(columns={f"{type_col}_a": "type_a",
-                                   f"{type_col}_b": "type_b"})
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t, new_s, _ = _session_starts(t, key_col, ts_col, order_col, gap_s)
+        # a session tag global to the bucket, one row per (session, type)
+        est = pa.TableGroupBy(
+            pa.table({"sess": np.cumsum(new_s), type_col: t[type_col]}),
+            ["sess", type_col], use_threads=False).aggregate([])
+        m = est.join(est.rename_columns(["sess", "type_b"]), "sess",
+                     join_type="inner")
+        m = m.filter(pc.less(m[type_col], m["type_b"]))
+        return pair_counts(m).rename_columns(
+            ["type_a", "type_b", "n_sessions"])
 
     parts = bucket_exchange(
         ds.select_columns([key_col, ts_col, order_col, type_col]), key_col,
-        per_bucket, num_buckets=num_buckets, batch_format="pandas")
+        per_bucket, num_buckets=num_buckets)
     return combine(parts, ["type_a", "type_b"],
                    {"n_sessions": ("n_sessions", "sum")})
