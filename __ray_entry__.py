@@ -52,5 +52,5 @@ def invariants() -> dict[str, str]:
     machine-checked invariant its callable asserts internally
     (ves_ray/pipelines/invariants.py). Disable with
     VES_CHECK_INVARIANTS=0 (bench.py does, for timing purity)."""
-    from ves_ray.pipelines.invariants import INVARIANTS
+    from ves_ray.pipelines.queries import INVARIANTS
     return dict(INVARIANTS)

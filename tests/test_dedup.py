@@ -70,6 +70,24 @@ def test_simhash_hamming(docs_ds):
     assert (0, 1) in got and (4, 5) in got
 
 
+def test_pairs_keep_their_columns_when_every_bucket_is_dropped():
+    """Every colliding bucket over ``max_bucket=1`` is dropped, so no
+    pair survives: the result still has the documented columns, typed
+    as the ids."""
+    texts = ["the quick brown fox jumps over the lazy dog"] * 4 \
+        + ["a b c d e f g h"] * 4
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(8), pa.int64()),
+                                 "text": texts}))
+    for pairs, cols in (
+            (dedup.simhash_neardup_pairs(ds, max_bucket=1),
+             ["doc_a", "doc_b", "hamming"]),
+            (dedup.minhash_lsh_candidates(ds, max_bucket=1),
+             ["doc_a", "doc_b"])):
+        assert len(pairs) == 0
+        assert list(pairs.columns) == cols
+        assert (pairs.dtypes == "int64").all()
+
+
 def test_empty_text_handling():
     # "" splits to [""] (one empty word) — same semantics as DuckDB's
     # regexp_split_to_array; empty docs hash consistently, not to 0.
@@ -211,7 +229,7 @@ def test_cc_distributed_parity_random_and_strings():
     _cc_parity(pairs)
 
 
-def test_fuzzy_dedup_keep_distributed_parity(docs_ds):
+def test_fuzzy_dedup_keep_distributed_parity(docs_ds, monkeypatch):
     import pandas as pd
     pairs = pd.DataFrame({"doc_a": [0, 0, 4], "doc_b": [1, 2, 5]})
     exp = (dedup.fuzzy_dedup_keep(docs_ds, pairs).to_pandas()
@@ -224,7 +242,8 @@ def test_fuzzy_dedup_keep_distributed_parity(docs_ds):
     import pandas.testing as pdt
     pdt.assert_frame_equal(got, exp, check_dtype=False)
     # the auto-switch takes the same path above the driver threshold
-    got2 = (dedup.fuzzy_dedup_keep(docs_ds, pairs, max_driver_pairs=1)
+    monkeypatch.setattr(dedup, "MAX_DRIVER_PAIRS", 1)
+    got2 = (dedup.fuzzy_dedup_keep(docs_ds, pairs)
             .to_pandas().sort_values("doc_id", ignore_index=True))
     pdt.assert_frame_equal(got2, exp, check_dtype=False)
 

@@ -17,11 +17,102 @@ def test_wrapped_queries_pass_with_invariants_on(monkeypatch):
         QUERIES[name](SF)          # raises AssertionError on violation
 
 
-def test_invariant_registry_covers_all_no_oracle_entries():
-    from ves_ray.pipelines.invariants import INVARIANT_CHECKS, INVARIANTS
+#: the catalog's names in order: a correctness harness over
+#: ``queries()`` may record only the first ~50, so a reorder changes
+#: what it verifies
+CATALOG_ORDER = [
+    "parse_extract", "events_json", "events_hourly", "events_by_type",
+    "user_sessions", "event_sessions", "user_event_gaps", "user_running_value",
+    "value_moments", "log_pipeline", "latest_event_per_user",
+    "customers_with_orders", "customers_without_events", "purchase_prior_view",
+    "order_revenue", "region_revenue", "top_events_per_user",
+    "top_sources_per_route", "route_rollup", "events_hourly_ma",
+    "user_event_pivot", "value_band_counts", "value_quantiles",
+    "enrich_routes", "route_counts", "source_histogram", "flagship_routed",
+    "top_sources", "pricing_summary", "orders_by_segment",
+    "nations_per_region", "top_orders", "token_counts", "top_words",
+    "top_terms", "quality_stats", "clean_text", "pii_scrub", "bigram_counts",
+    "heavy_hitter_words", "value_band_overlap", "dedup_exact", "dedup_keep",
+    "dedup_keep_dist", "dup_spans", "substring_dedup", "minhash_verified",
+    "decontaminate", "curated_corpus", "ngram_jaccard", "label_centroids",
+    "embedding_topk", "embedding_neardup", "hash_sample", "stratified_sample",
+    "sample_k", "weighted_sample", "weighted_sample_k", "per_source_sample",
+    "split_counts", "value_ddsketch", "unigram_logprob", "pmi_collocations",
+    "repetition_stats", "tfidf_top_terms", "dedup_keep_best",
+    "mixture_rebalance", "token_budget_mix", "union_distinct",
+    "fragment_manifest", "order_revenue_coloc", "user_rolling_value",
+    "user_funnel", "value_hist_quantiles", "value_outliers",
+    "value_percent_rank", "value_percent_rank_banded", "range_scan_events",
+    "dedup_incremental", "source_overlap", "shuffle_rank", "vocab_encode",
+    "quality_filter_pct", "curriculum_order", "inverted_index", "term_search",
+    "doc_chunks", "source_divergence", "value_mode", "user_retention",
+    "lineitem_corr", "user_gini", "session_pairs", "traffic_anomalies",
+    "contamination_report", "late_events", "users_approx_distinct", "lang_id",
+    "fingerprints", "dedup_keep_minhash", "minhash_pairs", "simhash_pairs",
+    "ann_lsh_topk", "ann_ivf_topk", "ann_ivf_indexed", "ann_lsh_indexed",
+    "pack_sequences", "media_stats", "embedding_clusters",
+]
+
+
+def test_catalog_registry():
+    """One registry: each name once with exactly one check, the order
+    unchanged, oracled entries first, each alias the very plan it
+    names, and every bench.py query in the catalog."""
+    import bench
+    from ves_ray.pipelines.invariants import Invariant
+    from ves_ray.pipelines.queries import (CATALOG, INVARIANTS, ORACLE_SQL,
+                                           QUERIES)
+    names = [name for name, _, _ in CATALOG]
+    assert len(names) == len(set(names)) == 109
+    for name, _, check in CATALOG:
+        assert isinstance(check, str) != isinstance(check, Invariant), name
+    assert set(ORACLE_SQL).isdisjoint(INVARIANTS)
+    assert set(ORACLE_SQL) | set(INVARIANTS) == set(names)
+    assert list(QUERIES) == CATALOG_ORDER
+    n_oracled = len(ORACLE_SQL)
+    assert set(CATALOG_ORDER[:n_oracled]) == set(ORACLE_SQL)
+    for alias, kept in (("heavy_hitter_words", "top_words"),
+                        ("dedup_keep_dist", "dedup_keep"),
+                        ("value_percent_rank_banded", "value_percent_rank")):
+        assert QUERIES[alias] is QUERIES[kept]
+        assert ORACLE_SQL[alias] == ORACLE_SQL[kept]
+    assert set(bench.QUERY_NAMES) <= set(QUERIES)
+
+
+@pytest.mark.parametrize("name, stage, bound, plan", [
+    ("dedup_keep", "dedup", "MAX_DRIVER_PAIRS",
+     "fuzzy_dedup_keep_distributed"),
+    ("value_percent_rank", "stats", "MAX_HISTOGRAM_ROWS", "_banded_ranks"),
+])
+def test_second_plan_matches_oracle(name, stage, bound, plan, monkeypatch):
+    """Two answers switch to a second plan past a bound that no catalog
+    input reaches. With the bound at -1 the catalog entry runs that
+    plan, and its rows still pass the conformance check against the
+    entry's DuckDB oracle."""
+    import importlib
+    import os
+    import sys
+
+    import duckdb
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    from tools.check_queries import TABLES, check_one
     from ves_ray.pipelines.queries import ORACLE_SQL, QUERIES
-    no_oracle = set(QUERIES) - set(ORACLE_SQL)
-    assert no_oracle == set(INVARIANTS) == set(INVARIANT_CHECKS)
+
+    mod = importlib.import_module(f"ves_ray.stages.{stage}")
+    ran, second = [], getattr(mod, plan)
+    monkeypatch.setattr(mod, bound, -1)
+    monkeypatch.setattr(mod, plan, lambda *a, **k: (
+        ran.append(plan), second(*a, **k))[1])
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    rec = check_one(None, con, name, QUERIES[name], ORACLE_SQL[name], SF,
+                    from_sink=False, sink_dir=None)
+    assert ran == [plan]
+    assert rec["status"] == "pass", rec
+    assert rec["rows"] > 0
 
 
 def test_pack_conservation_trips():

@@ -40,52 +40,6 @@ def test_grouped_approx_distinct_string_keys():
         assert abs(got[g] - exact[g]) / exact[g] < 0.06
 
 
-def _exact_topk(keys, k):
-    import pandas as pd
-    s = pd.Series(keys).value_counts()
-    df = s.reset_index()
-    df.columns = ["key", "n"]
-    df = df.sort_values(["n", "key"], ascending=[False, True]).head(k)
-    return list(zip(df["key"], df["n"].astype(int)))
-
-
-def test_distributed_topk_pruned_path_matches_exact():
-    from ves_ray.stages.sketch import distributed_topk
-    # zipfian keys over a 500-word vocab, 8 blocks
-    rng = np.random.default_rng(7)
-    ranks = rng.zipf(1.3, 40_000)
-    keys = np.array([f"w{r}" for r in np.minimum(ranks, 500)])
-    ds = rd.from_arrow(
-        pa.table({"word": pa.array(keys)})).repartition(8)
-    out = distributed_topk(ds, "word", k=10, per_block_top=64)
-    got = list(zip(out["word"].to_pylist(), out["n"].to_pylist()))
-    assert got == _exact_topk(keys, 10)
-
-
-def test_distributed_topk_fallback_path_matches_exact():
-    from ves_ray.stages.sketch import distributed_topk
-    # per_block_top=2 over a flat distribution forces the provability
-    # fallback (total eps >= tau) — result must STILL be exact
-    rng = np.random.default_rng(11)
-    keys = np.array([f"k{v}" for v in rng.integers(0, 200, 5_000)])
-    ds = rd.from_arrow(
-        pa.table({"word": pa.array(keys)})).repartition(8)
-    out = distributed_topk(ds, "word", k=5, per_block_top=2)
-    got = list(zip(out["word"].to_pylist(), out["n"].to_pylist()))
-    assert got == _exact_topk(keys, 5)
-
-
-def test_distributed_topk_complete_report_is_exact():
-    from ves_ray.stages.sketch import distributed_topk
-    # vocab smaller than per_block_top: eps == 0 everywhere, recount
-    # path with zero pruning error
-    keys = np.array(["a"] * 30 + ["b"] * 20 + ["c"] * 10 + ["d"] * 10)
-    ds = rd.from_arrow(pa.table({"word": pa.array(keys)})).repartition(4)
-    out = distributed_topk(ds, "word", k=3, per_block_top=16)
-    got = list(zip(out["word"].to_pylist(), out["n"].to_pylist()))
-    assert got == [("a", 30), ("b", 20), ("c", 10)]
-
-
 # -------------------------------------------------------------------------
 # DDSketch relative-error quantiles
 # -------------------------------------------------------------------------

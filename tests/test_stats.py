@@ -175,26 +175,40 @@ def test_gini_concentration_known_values():
     assert out2["gini_e6"].iloc[0] == 720000
 
 
-def test_grouped_percent_rank_guard_trips_on_near_unique_column():
-    """A value column that is (near-)unique makes the (group, value)
-    histogram row-scale — the guard must fail loud BEFORE the driver
-    gather, pointing at the banded sort-equivalent plan."""
-    import pytest
-    from ves_ray.stages.stats import grouped_percent_rank
-    n = 500
-    t = pa.table({"g": pa.array(["a"] * n),
-                  "v": pa.array(range(n), type=pa.int64()),
-                  "i": pa.array(range(n), type=pa.int64())})
-    with pytest.raises(ValueError, match="grouped_percent_rank_banded"):
-        grouped_percent_rank(rd.from_arrow(t), group_col="g",
-                             value_col="v", id_cols=["i"],
-                             max_histogram_rows=100)
-    # same data passes with an adequate bound
-    out = (grouped_percent_rank(rd.from_arrow(t), group_col="g",
-                                value_col="v", id_cols=["i"],
-                                max_histogram_rows=n)
-           .to_pandas().sort_values("i", ignore_index=True))
-    assert abs(out["pct_rank"].iloc[-1] - 1.0) < 1e-12
+def test_grouped_percent_rank_past_bound_runs_banded_plan(monkeypatch):
+    """``grouped_percent_rank`` on more than ``MAX_HISTOGRAM_ROWS``
+    rows estimates the (group, value) histogram from a hash sample of
+    the values before any exchange. Past the bound it runs the banded
+    plan on that sample and never starts the histogram exchange; below
+    it, or with no more rows than the bound, the histogram plan. Either
+    way the rows equal the pandas window."""
+    from ves_ray.stages import stats
+    n = 5000
+    banded, hist = stats._banded_ranks, stats.combine_pandas
+    for values, bound, plan in ((np.arange(n), 1000, "banded"),
+                                (np.arange(n) % 10, 1000, "hist"),
+                                (np.arange(n), stats.MAX_HISTOGRAM_ROWS,
+                                 "hist")):
+        t = pa.table({"g": pa.array(["a", "b"] * (n // 2)),
+                      "v": pa.array(values, type=pa.int64()),
+                      "i": pa.array(range(n), type=pa.int64())})
+        df = t.to_pandas()
+        rank = df.groupby("g")["v"].rank(method="min")
+        want = (rank - 1) / (df.groupby("g")["v"].transform("size") - 1)
+        calls = []
+        monkeypatch.setattr(stats, "MAX_HISTOGRAM_ROWS", bound)
+        monkeypatch.setattr(stats, "_banded_ranks", lambda *a, **k: (
+            calls.append("banded"), banded(*a, **k))[1])
+        monkeypatch.setattr(stats, "combine_pandas", lambda *a, **k: (
+            calls.append("hist"), hist(*a, **k))[1])
+        out = (stats.grouped_percent_rank(rd.from_arrow(t), group_col="g",
+                                          value_col="v", id_cols=["i"])
+               .to_pandas().sort_values("i", ignore_index=True))
+        # the banded plan's own (group, band) counts use combine_pandas
+        assert calls[0] == plan, (bound, calls)
+        assert list(out.columns) == ["g", "v", "i", "pct_rank"]
+        np.testing.assert_array_equal(out["pct_rank"].to_numpy(),
+                                      want.to_numpy())
 
 
 def test_grouped_corr_exact_past_int64_sum_overflow():

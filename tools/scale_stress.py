@@ -48,7 +48,7 @@ HEAVY_QUERIES = ["region_revenue", "order_revenue", "minhash_pairs",
                  "curated_corpus", "user_sessions", "ngram_jaccard",
                  "purchase_prior_view", "log_pipeline", "events_hourly",
                  "decontaminate", "token_counts", "embedding_topk",
-                 "ann_ivf_topk", "value_percent_rank_banded"]
+                 "ann_ivf_topk"]
 
 OUT_PATH = os.path.join(REPO, "STRESS_r04.json")
 

@@ -2,7 +2,9 @@
 
 13 ``queries()`` entries have no SQL oracle (sketches, ANN, model-
 style scoring, engine hashes, block-level packing, binary codecs).
-Each gets an invariant checked INSIDE the query callable — a property
+Each gets an invariant checked INSIDE the query callable: its row of
+the catalog table (``queries.CATALOG``) carries an ``Invariant``, one
+of the checks below and its one-line claim. A check is a property
 strong enough that a wrong implementation trips it, computed by an
 independent route (pure-Python recompute, exact counterpart pipeline,
 or conservation law) rather than by re-running the same kernel:
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -50,14 +54,22 @@ def _to_pandas(obj) -> pd.DataFrame:
     return obj
 
 
-def with_invariant(name: str, fn):
-    """Wrap a query callable so its invariant runs on every call
-    (unless disabled). The result is returned unchanged; Dataset
-    results are checked on a pandas copy."""
+class Invariant(NamedTuple):
+    """A rows-only catalog entry's check: ``check(out, sf_dir)`` raises
+    AssertionError on a violation; ``claim`` is the one-line property
+    the conformance harness records."""
+    check: Callable[[pd.DataFrame, str], None]
+    claim: str
+
+
+def with_invariant(name: str, fn, check):
+    """Wrap a query callable so ``check`` runs on every call (unless
+    disabled). The result is returned unchanged; Dataset results are
+    checked on a pandas copy."""
     def wrapped(sf_dir: str):
         out = fn(sf_dir)
         if enabled():
-            INVARIANT_CHECKS[name](_to_pandas(out), sf_dir)
+            check(_to_pandas(out), sf_dir)
         return out
     wrapped.__name__ = f"q_{name}_with_invariant"
     wrapped.__doc__ = fn.__doc__
@@ -400,53 +412,3 @@ def check_embedding_clusters(out: pd.DataFrame, sf_dir: str):
     c = out["cluster"].to_numpy()
     if not ((c >= 0) & (c < 8)).all():
         _fail("embedding_clusters", "cluster id outside [0, 8)")
-
-
-INVARIANT_CHECKS = {
-    "users_approx_distinct": check_users_approx_distinct,
-    "lang_id": check_lang_id,
-    "fingerprints": check_fingerprints,
-    "minhash_pairs": check_minhash_pairs,
-    "simhash_pairs": check_simhash_pairs,
-    "dedup_keep_minhash": check_dedup_keep_minhash,
-    "pack_sequences": check_pack_sequences,
-    "media_stats": check_media_stats,
-    "ann_lsh_topk": check_ann_lsh_topk,
-    "ann_lsh_indexed": check_ann_lsh_indexed,
-    "ann_ivf_topk": check_ann_ivf_topk,
-    "ann_ivf_indexed": check_ann_ivf_indexed,
-    "embedding_clusters": check_embedding_clusters,
-}
-
-#: one-line description per rows-only entry, recorded by
-#: tools/check_queries.py as ``rows_only+invariant``
-INVARIANTS = {
-    "users_approx_distinct": "HLL estimate within 10% of exact "
-                             "per-group distinct (exact pipeline)",
-    "lang_id": "one row per doc; labels in model set; conf in [0,1]",
-    "fingerprints": "distinct fingerprints == distinct texts; one "
-                    "row per doc",
-    "minhash_pairs": "jaccard in [0.5,1]; sampled values == "
-                     "pure-Python shingle recompute; identical-text "
-                     "pairs all present",
-    "simhash_pairs": "hamming in [0,3]; identical-text pairs present "
-                     "with hamming 0",
-    "dedup_keep_minhash": "kept unique subset of corpus; <=1 doc "
-                          "kept per identical-text group (the min "
-                          "when in-group)",
-    "pack_sequences": "sum(pack n_tok) == sum(input n_tok); fills in "
-                      "[1,max_len]; pack_ids unique",
-    "media_stats": "decode aggregates == synthesized payload params "
-                   "recomputed codec-free",
-    "ann_lsh_topk": "scores re-derived exactly; ranks consistent; "
-                    "recall@10 >= 0.08 vs brute force",
-    "ann_lsh_indexed": "scores re-derived exactly; ranks consistent; "
-                       "recall@10 >= 0.08 vs brute force",
-    "ann_ivf_topk": "scores re-derived exactly; ranks consistent; "
-                    "recall@10 >= 0.5 vs brute force",
-    "ann_ivf_indexed": "scores re-derived exactly; ranks consistent; "
-                       "recall@10 >= 0.5 vs brute force",
-    "embedding_clusters": "full unique coverage; cluster in [0,8); "
-                          "sampled assignments == centroid argmax "
-                          "(inline)",
-}

@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 
 from ..hashing import (MASK63, U64, hash2, hash_strings, round_half_away,
                        splitmix64)
-from .aggregate import _grouper, combine, combine_pandas
+from .aggregate import _grouper, combine, combine_pandas, empty_like, gather
 from .exchange import _group_starts, bucket_exchange, exchange_groups
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,17 @@ def _collision_key_set(keys_ds, key_col: str) -> pd.DataFrame:
         batch_format="pyarrow", zero_copy_batch=True).to_pandas()
 
 
+def _no_pairs(keys_ds, id_col: str, **extra) -> pa.Table:
+    """The pair table without rows: ``doc_a``, ``doc_b`` of
+    ``keys_ds``'s ``id_col`` type (null when Ray lost the schema of an
+    input without rows), then the ``extra`` columns and types."""
+    schema = empty_like(keys_ds).schema
+    id_type = (schema.field(id_col).type if id_col in schema.names
+               else pa.null())
+    return pa.schema({"doc_a": id_type, "doc_b": id_type,
+                      **extra}).empty_table()
+
+
 def _bucket_pair_gen(id_col: str, max_bucket: int):
     """Per-group fn: all unique-id pairs within one colliding bucket,
     vectorized (triu indices over the sorted unique ids). Buckets over
@@ -215,11 +226,11 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
     keys = sigs.map_batches(
         lambda b: lsh_band_keys_batch(b, num_bands=num_bands, id_col=id_col),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
+    no_pairs = _no_pairs(keys, id_col)
     # band_key is salted per band, so it alone is the collision key
     collide = _collision_key_set(keys, "band_key")
     if len(collide) == 0:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype=object),
-                             "doc_b": pd.Series([], dtype=object)})
+        return no_pairs.to_pandas()
     import ray
     # broadcast the colliding-key set via the object store (one copy
     # per node) rather than closure capture (re-shipped per task)
@@ -232,8 +243,9 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
 
     hits = keys.map_batches(only_collisions, batch_format="pyarrow",
                             zero_copy_batch=True)
-    out = exchange_groups(hits, "band_key",
-                          _bucket_pair_gen(id_col, max_bucket)).to_pandas()
+    out = gather(exchange_groups(hits, "band_key",
+                                 _bucket_pair_gen(id_col, max_bucket)),
+                 lambda: no_pairs).to_pandas()
     return out.drop_duplicates(ignore_index=True)
 
 
@@ -574,7 +586,7 @@ def connected_components(pairs: pd.DataFrame, *, a_col: str = "doc_a",
     approaches corpus scale, :func:`connected_components_distributed`
     implements the same (node, root) contract as pure Dataset ops
     (label propagation + pointer jumping); ``fuzzy_dedup_keep``
-    switches between them on ``max_driver_pairs``. Returns one row
+    switches between them on ``MAX_DRIVER_PAIRS``. Returns one row
     per node appearing in any pair, root = minimum id in its
     component."""
     parent: dict = {}
@@ -604,8 +616,12 @@ def connected_components(pairs: pd.DataFrame, *, a_col: str = "doc_a",
                          "root": [min_of[r] for r in roots.values()]})
 
 
-def fuzzy_dedup_keep(ds, pairs: pd.DataFrame, *, id_col: str = "doc_id",
-                     max_driver_pairs: int = 5_000_000):
+#: past this many pairs ``fuzzy_dedup_keep`` resolves clusters with
+#: ``fuzzy_dedup_keep_distributed`` instead of a driver union-find
+MAX_DRIVER_PAIRS = 5_000_000
+
+
+def fuzzy_dedup_keep(ds, pairs: pd.DataFrame, *, id_col: str = "doc_id"):
     """The dedup last mile: given verified near-dup pairs, keep ONE
     representative per cluster (the min id) and every unpaired doc.
 
@@ -614,7 +630,7 @@ def fuzzy_dedup_keep(ds, pairs: pd.DataFrame, *, id_col: str = "doc_id",
     set (pairs-scale) ships via ``ray.put`` and each batch filters
     with a vectorized ``is_in``; survivors gain ``cluster_size`` (1
     for docs in no cluster) via a broadcast lookup in the same pass.
-    Pair sets above ``max_driver_pairs`` (heavy-duplication corpora
+    Pair sets above ``MAX_DRIVER_PAIRS`` (heavy-duplication corpora
     where driver union-find / broadcast state would not fit) switch to
     the fully-distributed path (:func:`fuzzy_dedup_keep_distributed`:
     label-propagation components + shuffle anti-join) — identical
@@ -622,7 +638,7 @@ def fuzzy_dedup_keep(ds, pairs: pd.DataFrame, *, id_col: str = "doc_id",
     Returns a Dataset of (id, cluster_size)."""
     import ray
 
-    if len(pairs) > max_driver_pairs:
+    if len(pairs) > MAX_DRIVER_PAIRS:
         import ray.data as rd
         edges = rd.from_arrow(pa.Table.from_pandas(
             pairs[["doc_a", "doc_b"]], preserve_index=False))
@@ -1010,11 +1026,10 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     keyed = bands.map_batches(add_ckey, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
+    no_pairs = _no_pairs(keyed, id_col, hamming=pa.int64())
     collide = _collision_key_set(keyed, "ckey")
     if len(collide) == 0:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype=object),
-                             "doc_b": pd.Series([], dtype=object),
-                             "hamming": pd.Series([], dtype=np.int64)})
+        return no_pairs.to_pandas()
     import ray
     wanted_ref = ray.put(pa.array(collide["ckey"].to_numpy(),
                                   type=pa.int64()))
@@ -1022,9 +1037,9 @@ def simhash_neardup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         lambda b: b.filter(pc.is_in(b["ckey"],
                                     value_set=ray.get(wanted_ref))),
         batch_format="pyarrow", zero_copy_batch=True)
-    out = exchange_groups(
-        hits, "ckey",
-        _verify_simhash_bucket(id_col, max_hamming, max_bucket)).to_pandas()
+    out = gather(exchange_groups(
+        hits, "ckey", _verify_simhash_bucket(id_col, max_hamming, max_bucket)),
+        lambda: no_pairs).to_pandas()
     return out.drop_duplicates(["doc_a", "doc_b"], ignore_index=True)
 
 

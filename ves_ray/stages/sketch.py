@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import U64, hash_strings, splitmix64
-from .aggregate import combine, combine_pandas
+from .aggregate import combine_pandas
 
 
 def _hash_col(col) -> np.ndarray:
@@ -70,93 +70,6 @@ def approx_distinct(ds, col: str, *, p: int = 12) -> int:
         np.maximum(merged, np.frombuffer(blob, dtype=np.uint8),
                    out=merged)
     return round(_estimate(merged))
-
-
-def distributed_topk(ds, col: str, *, k: int = 20,
-                     per_block_top: int = 256) -> pa.Table:
-    """PROVABLY-EXACT top-k over a corpus-scale key domain without the
-    full-domain exchange (threshold / TPUT-family algorithm, Cao &
-    Wang 2004 — public).
-
-    Pass 1: each block groupby-counts locally and reports only its top
-    ``per_block_top`` keys plus the count of the first key it DROPPED
-    (``eps``, that block's per-key undercount bound). The driver holds
-    O(blocks × per_block_top) rows — never the vocabulary.
-
-    Bounds: lower(key) = Σ reported counts; upper(key) = lower +
-    Σ eps over blocks that did NOT report the key. With τ = k-th
-    largest lower bound, any key whose upper < τ can't be top-k —
-    pruning is exact, not heuristic. Pass 2 recounts ONLY the
-    surviving candidates (broadcast ``is_in`` probe, block partials).
-
-    Fallback: if Σ eps ≥ τ, a key reported by NO block could still
-    qualify, so the result would not be provable — we then pay the
-    exact full groupby instead. On zipfian corpora with adequate
-    ``per_block_top`` the bound holds and the fallback never fires.
-    Two passes over ``ds`` (lineage re-executes) — both are maps.
-    """
-    import ray
-
-    def local_top(b: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(b.select([col]), [col]).aggregate(
-            [([], "count_all")])
-        counts = g.column(1).to_numpy(zero_copy_only=False)
-        order = np.argsort(-counts, kind="stable")
-        m = min(per_block_top, len(order))
-        top = g.take(pa.array(order[:m]))
-        eps = int(counts[order[m]]) if len(order) > m else 0
-        keys = top.column(0)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        # one null-key sentinel row per block carries its eps so the
-        # driver can form Σ eps without a second output table
-        keys = pa.concat_arrays([keys, pa.nulls(1, type=keys.type)])
-        ns = np.concatenate([
-            top.column(1).to_numpy(zero_copy_only=False), [0]])
-        return pa.table({col: keys,
-                         "n": pa.array(ns.astype(np.int64)),
-                         "eps": pa.array(np.full(m + 1, eps,
-                                                 dtype=np.int64))})
-
-    # the sentinels fold into the null key's group: eps_rep = Σ eps
-    g = combine_pandas(ds.map_batches(local_top, batch_format="pyarrow",
-                                      zero_copy_batch=True), [col],
-                       {"lower": ("n", "sum"), "eps_rep": ("eps", "sum")})
-    if len(g) == 0:
-        return pa.table({col: pa.array([], type=pa.string()),
-                         "n": pa.array([], type=pa.int64())})
-    sentinel = g[col].isna()
-    total_e = int(g.loc[sentinel, "eps_rep"].sum())
-    g = g[~sentinel].set_index(col)
-    topk_lower = g["lower"].nlargest(k)
-    tau = int(topk_lower.iloc[-1]) if len(topk_lower) else 0
-    upper = g["lower"] + (total_e - g["eps_rep"])
-    cand = sorted(g.index[upper >= tau])
-
-    if total_e > 0 and (total_e >= tau or len(g) < k):
-        # bound too loose to exclude never-reported keys (or fewer
-        # than k reported keys, leaving free slots any truncated key
-        # could occupy) → exact path; total_e == 0 means no block
-        # dropped anything, so the report is complete and exact
-        full = combine(ds, [col], {"n": ([], "count_all")})
-        out = full.sort(["n", col], descending=[True, False]) \
-                  .limit(k).to_pandas()
-        return pa.table({col: pa.array(out[col]),
-                         "n": pa.array(out["n"].to_numpy()
-                                       .astype(np.int64))})
-
-    ref = ray.put(pa.array(cand))
-
-    def candidates(b: pa.Table) -> pa.Table:
-        return b.select([col]).filter(pc.is_in(b[col],
-                                               value_set=ray.get(ref)))
-
-    tot = combine_pandas(ds.map_batches(candidates, batch_format="pyarrow",
-                                        zero_copy_batch=True), [col],
-                         {"n": ([], "count_all")})
-    tot = tot.sort_values(["n", col], ascending=[False, True]).head(k)
-    return pa.table({col: pa.array(tot[col]),
-                     "n": pa.array(tot["n"].to_numpy().astype(np.int64))})
 
 
 # --------------------------------------------------------------------------

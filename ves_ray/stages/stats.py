@@ -116,9 +116,38 @@ def _no_ranks(ds, cols: list[str]):
         "pct_rank", pa.array([], pa.float64())))
 
 
+#: ``grouped_percent_rank`` runs the banded plan past this many
+#: estimated (group, value) histogram rows: the measured crossover on
+#: the events table lay near 67k rows of histogram at 100k input rows
+#: and between 100k and 247k at 1M (NOTES.md "One entry per query")
+MAX_HISTOGRAM_ROWS = 100_000
+
+#: ``grouped_percent_rank``'s value sample keeps 1/2^bits of the values
+_SAMPLE_RATE_BITS = 8
+
+
+def _value_sample(ds, group_col: str, value_col: str,
+                  sample_rate_bits: int) -> pa.Table:
+    """The (group, int64 value) rows whose value's splitmix64 has
+    ``sample_rate_bits`` leading zero bits — about 1/2^bits of the
+    distinct values, each with all of its rows — on the driver."""
+    from ..hashing import splitmix64
+
+    thresh = np.uint64(1) << np.uint64(64 - sample_rate_bits)
+
+    def sample(b: pa.Table) -> pa.Table:
+        v = b[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = splitmix64(v.view(np.uint64)) < thresh
+        return pa.table({group_col: b[group_col].filter(pa.array(keep)),
+                         value_col: pa.array(v[keep], type=pa.int64())})
+
+    return gather(ds.select_columns([group_col, value_col]).map_batches(
+        sample, batch_format="pyarrow", zero_copy_batch=True),
+        lambda: pa.table({value_col: pa.array([], pa.int64())}))
+
+
 def grouped_percent_rank(ds, *, group_col: str, value_col: str,
-                         id_cols: list[str],
-                         max_histogram_rows: int = 2_000_000):
+                         id_cols: list[str]):
     """Exact per-row ``PERCENT_RANK() OVER (PARTITION BY group ORDER BY
     value)`` — the analytic-window form of "where does this row sit in
     its group's distribution", the building block for rank-normalized
@@ -139,29 +168,35 @@ def grouped_percent_rank(ds, *, group_col: str, value_col: str,
     division and the result full-value-hash oracles. Groups of one row
     get 0.0 (SQL semantics).
 
-    GUARD: the histogram shape is only cheap while (group, value)
-    cardinality is small — a near-unique value column silently turns
-    the exchange + broadcast CDF row-scale. ``max_histogram_rows``
-    fails loud before the driver gather when that happens, pointing
-    at :func:`grouped_percent_rank_banded` — the implemented
-    sort-equivalent plan (cost = one row-scale bucket exchange)."""
+    The histogram shape is only cheap while (group, value) cardinality
+    is small: a near-unique value column makes the exchange and the
+    broadcast CDF row-scale, and each probe batch joins the whole CDF.
+    So for an input of more than ``MAX_HISTOGRAM_ROWS`` rows a hash
+    sample of the values (one map pass, 1/256 of the values gathered)
+    first estimates the histogram's rows as the sample's distinct
+    (group, value) pairs × 256. Past ``MAX_HISTOGRAM_ROWS`` it runs
+    :func:`grouped_percent_rank_banded`'s plan on that same sample
+    instead, before any exchange: same rows. The input's ``cols`` are
+    read once and held in the object store for the passes of either
+    plan."""
     import ray
 
     cols = list(dict.fromkeys([group_col, value_col, *id_cols]))
-    grp = combine(ds, [group_col, value_col], {"n": ([], "count_all")})
-    n_hist = grp.count()
-    if n_hist > max_histogram_rows:
-        raise ValueError(
-            f"grouped_percent_rank: (group, value) histogram has "
-            f"{n_hist} rows > max_histogram_rows={max_histogram_rows}; "
-            f"the value column is too close to unique for the "
-            f"histogram-exchange plan (the broadcast CDF would be "
-            f"row-scale). Use grouped_percent_rank_banded instead — "
-            f"the sort-equivalent plan (hash-sampled band bounds + "
-            f"bucket-local exact ranking), same bit-exact output.")
-    if n_hist == 0:
+    # read once: the sample, the histogram and the probe (or the
+    # banded plan's three passes) all scan these columns
+    ds = ds.select_columns(cols).materialize()
+    # a histogram has no more rows than its input
+    if ds.count() > MAX_HISTOGRAM_ROWS:
+        sample = _value_sample(ds, group_col, value_col, _SAMPLE_RATE_BITS)
+        pairs = (len(sample.group_by([group_col, value_col]).aggregate([]))
+                 if len(sample) else 0)
+        if pairs << _SAMPLE_RATE_BITS > MAX_HISTOGRAM_ROWS:
+            return _banded_ranks(ds, group_col, value_col, cols,
+                                 sample[value_col], num_bands=256)
+    hist = combine_pandas(ds, [group_col, value_col],
+                          {"n": ([], "count_all")})
+    if len(hist) == 0:
         return _no_ranks(ds, cols)
-    hist = grp.to_pandas()
 
     hist = hist.sort_values([group_col, value_col], ignore_index=True)
     counts = hist["n"].to_numpy(dtype=np.int64)
@@ -183,8 +218,8 @@ def grouped_percent_rank(ds, *, group_col: str, value_col: str,
         return b.append_column("pct_rank",
                                pa.array(pr, type=pa.float64()))
 
-    return ds.select_columns(cols).map_batches(
-        probe, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(probe, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
@@ -192,8 +227,8 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
                                 num_bands: int = 256,
                                 sample_rate_bits: int = 8):
     """Exact per-row PERCENT_RANK for NEAR-UNIQUE value columns — the
-    sort-equivalent plan ``grouped_percent_rank``'s guard points at
-    when the (group, value) histogram would be row-scale.
+    sort-equivalent plan ``grouped_percent_rank`` runs when the
+    (group, value) histogram would be large.
 
     Plan (the TeraSort partitioning shape, no driver row gather):
 
@@ -223,23 +258,19 @@ def grouped_percent_rank_banded(ds, *, group_col: str, value_col: str,
     at num_bands even with millions of groups. Output is
     bit-identical to SQL PERCENT_RANK (same int64 pair division).
     """
+    cols = list(dict.fromkeys([group_col, value_col, *id_cols]))
+    sample = _value_sample(ds, group_col, value_col, sample_rate_bits)
+    return _banded_ranks(ds, group_col, value_col, cols,
+                         sample[value_col], num_bands=num_bands)
+
+
+def _banded_ranks(ds, group_col: str, value_col: str, cols: list[str],
+                  sampled, *, num_bands: int):
+    """Steps 2 and 3 of :func:`grouped_percent_rank_banded`, banded by
+    equi-depth cuts of the ``sampled`` values."""
     import ray
 
-    from ..hashing import splitmix64
-
-    cols = list(dict.fromkeys([group_col, value_col, *id_cols]))
-    thresh = np.uint64(1) << np.uint64(64 - sample_rate_bits)
-
-    def sample(b: pa.Table) -> pa.Table:
-        v = b[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = splitmix64(v.view(np.uint64))
-        return pa.table({value_col: pa.array(v[h < thresh],
-                                             type=pa.int64())})
-
-    sampled = gather(ds.select_columns([value_col]).map_batches(
-        sample, batch_format="pyarrow", zero_copy_batch=True),
-        lambda: pa.table({value_col: pa.array([], pa.int64())}))
-    sv = np.sort(sampled[value_col].to_numpy())
+    sv = np.sort(sampled.to_numpy())
     if len(sv):
         idx = (np.arange(1, num_bands) * len(sv)) // num_bands
         bounds = np.unique(sv[idx])
